@@ -74,9 +74,10 @@ let run ?(config = default) ?deadline ?stimulus ~original ~reduced ~env () =
       let out_map =
         List.map (fun (nm, n) -> (nm, n, Option.get (D.find_output reduced nm))) outs
       in
-      let in_map =
-        List.map (fun (nm, n) -> (n, Option.get (D.find_input reduced nm))) ins
-      in
+      let in_map = Array.make (D.num_nets original) (-1) in
+      List.iter
+        (fun (nm, n) -> in_map.(n) <- Option.get (D.find_input reduced nm))
+        ins;
       let stimulus =
         match stimulus with
         | Some s -> s
@@ -93,12 +94,15 @@ let run ?(config = default) ?deadline ?stimulus ~original ~reduced ~env () =
       let sim_r = Netlist.Sim64.create reduced in
       let sim_m = Netlist.Sim64.create env.Environment.model in
       let rng = Random.State.make [| config.seed |] in
-      let random_word () =
-        Int64.logor
-          (Int64.of_int (Random.State.bits rng))
-          (Int64.logor
-             (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-             (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
+      let feed = Engine.Stimulus.feed original stimulus in
+      (* nets the stimulus drives that are not inputs of the original
+         exist in no design under test: skip them *)
+      let set n v =
+        if n >= 0 && n < Array.length in_map && in_map.(n) >= 0 then begin
+          Netlist.Sim64.set_input sim_o n v;
+          Netlist.Sim64.set_input sim_m n v;
+          Netlist.Sim64.set_input sim_r in_map.(n) v
+        end
       in
       let observations = ref 0 in
       let divergence = ref None in
@@ -113,18 +117,7 @@ let run ?(config = default) ?deadline ?stimulus ~original ~reduced ~env () =
            try
              for cycle = 1 to config.cycles do
                if expired deadline then raise Exit;
-               let driven = stimulus.Engine.Stimulus.drive rng in
-               List.iter
-                 (fun (_, n) ->
-                   let v =
-                     match List.assoc_opt n driven with
-                     | Some v -> v
-                     | None -> random_word ()
-                   in
-                   Netlist.Sim64.set_input sim_o n v;
-                   Netlist.Sim64.set_input sim_m n v;
-                   Netlist.Sim64.set_input sim_r (List.assoc n in_map) v)
-                 ins;
+               Engine.Stimulus.next_cycle feed rng set;
                Netlist.Sim64.eval sim_o;
                (* the monitor judges the values the original actually
                   computed on the cut nets *)

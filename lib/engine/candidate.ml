@@ -10,6 +10,38 @@ let holds_in_values value = function
   | Const (n, false) -> value n = 0L
   | Implies { a; b; _ } -> Int64.logand (value a) (Int64.lognot (value b)) = 0L
 
+(* Every candidate fails exactly on the lanes where one net is 1 and
+   another is 0: [Const (n, true)] is [true -> n] and [Const (n, false)]
+   is [n -> false] over the simulator's rails. *)
+type probes = { hi : Netlist.Design.net array; lo : Netlist.Design.net array }
+
+let probes cands =
+  let hi, lo =
+    Array.split
+      (Array.map
+         (function
+           | Const (n, true) -> (Netlist.Design.net_true, n)
+           | Const (n, false) -> (n, Netlist.Design.net_false)
+           | Implies { a; b; _ } -> (a, b))
+         cands)
+  in
+  { hi; lo }
+
+let iter_violated p sim ~assume ~alive f =
+  let v = Netlist.Sim64.words sim in
+  let mask = v.{assume} in
+  if mask <> 0L then
+    for i = 0 to Array.length p.hi - 1 do
+      if alive.(i) then begin
+        let lanes =
+          Int64.logand mask
+            (Int64.logand v.{Array.unsafe_get p.hi i}
+               (Int64.lognot v.{Array.unsafe_get p.lo i}))
+        in
+        if lanes <> 0L then f i lanes
+      end
+    done
+
 let key = function
   | Const (n, b) -> Printf.sprintf "C%d:%d" n (Bool.to_int b)
   | Implies { cell; a; b } -> Printf.sprintf "I%d:%d>%d" cell a b

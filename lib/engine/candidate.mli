@@ -21,6 +21,25 @@ val equal : t -> t -> bool
 val holds_in_values : (Netlist.Design.net -> int64) -> t -> bool
 (** Does the candidate hold on all 64 lanes of a simulation snapshot? *)
 
+type probes
+(** A candidate array compiled for {!iter_violated}. *)
+
+val probes : t array -> probes
+
+val iter_violated :
+  probes ->
+  Netlist.Sim64.t ->
+  assume:Netlist.Design.net ->
+  alive:bool array ->
+  (int -> int64 -> unit) ->
+  unit
+(** The simulation kill check, after {!Netlist.Sim64.eval}: calls
+    [f i lanes] for every [i] with [alive.(i)] whose candidate is
+    violated, where [lanes] (nonzero) are the violating lanes among
+    those where [assume] holds.  Reads the simulator's word store
+    directly and allocates only when [f] does; [alive] is indexed like
+    the array given to {!probes}, and [f] may clear it. *)
+
 val key : t -> string
 (** Compact stable structural rendering — ["C<net>:<0|1>"] for
     constants, ["I<cell>:<a>><b>"] for implications.  Used as the

@@ -306,62 +306,31 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
   (* counterexample propagation: replay each CEX state forward in the
      bit-parallel simulator to mass-kill non-inductive candidates that
      would otherwise each cost their own SAT query *)
-  let cex_sim =
+  let cex_propagate =
     match cex with
-    | None -> None
-    | Some _ -> Some (Netlist.Sim64.create d, Random.State.make [| 0xCE11 |])
-  in
-  let cex_propagate side () =
-    match cex, cex_sim with
-    | Some (stimulus, cycles), Some (sim, rng) ->
-        let u = side.u in
-        let solver = Unroll.solver u in
-        let frame = List.fold_left max 0 side.check_frames in
-        Netlist.Sim64.load_state sim (fun nnet ->
-            if S.lit_value solver (Unroll.lit u ~frame nnet) then -1L else 0L);
-        let inputs = D.inputs d in
-        let random_word () =
-          Int64.logor
-            (Int64.of_int (Random.State.bits rng))
-            (Int64.logor
-               (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-               (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
+    | None -> fun _ () -> ()
+    | Some (stimulus, cycles) ->
+        let sim = Netlist.Sim64.create d in
+        let set = Netlist.Sim64.set_input sim in
+        let feed = Stimulus.feed d stimulus in
+        let rng = Random.State.make [| 0xCE11 |] in
+        let probes = Candidate.probes candidates in
+        let kill i _ =
+          alive.(i) <- false;
+          set_fate i V_sim_killed
         in
-        for _ = 1 to cycles do
-          let driven = stimulus.Stimulus.drive rng in
-          let driven_nets = List.map fst driven in
-          List.iter
-            (fun (_, nnet) ->
-              if not (List.mem nnet driven_nets) then
-                Netlist.Sim64.set_input sim nnet (random_word ()))
-            inputs;
-          List.iter (fun (nnet, v) -> Netlist.Sim64.set_input sim nnet v) driven;
-          Netlist.Sim64.eval sim;
-          let mask = Netlist.Sim64.read sim assume in
-          if mask <> 0L then
-            Array.iteri
-              (fun i cand ->
-                if alive.(i) then
-                  let viol =
-                    match cand with
-                    | Candidate.Const (nnet, true) ->
-                        Int64.logand mask
-                          (Int64.lognot (Netlist.Sim64.read sim nnet))
-                    | Candidate.Const (nnet, false) ->
-                        Int64.logand mask (Netlist.Sim64.read sim nnet)
-                    | Candidate.Implies { a; b; _ } ->
-                        Int64.logand mask
-                          (Int64.logand (Netlist.Sim64.read sim a)
-                             (Int64.lognot (Netlist.Sim64.read sim b)))
-                  in
-                  if viol <> 0L then begin
-                    alive.(i) <- false;
-                    set_fate i V_sim_killed
-                  end)
-              candidates;
-          Netlist.Sim64.step sim
-        done
-    | _ -> ()
+        fun side () ->
+          let u = side.u in
+          let solver = Unroll.solver u in
+          let frame = List.fold_left max 0 side.check_frames in
+          Netlist.Sim64.load_state sim (fun nnet ->
+              if S.lit_value solver (Unroll.lit u ~frame nnet) then -1L else 0L);
+          for _ = 1 to cycles do
+            Stimulus.next_cycle feed rng set;
+            Netlist.Sim64.eval sim;
+            Candidate.iter_violated probes sim ~assume ~alive kill;
+            Netlist.Sim64.step sim
+          done
   in
   let budget_left =
     ref

@@ -17,14 +17,22 @@ let expired deadline =
   | None -> false
   | Some t -> Obs.Clock.now_s () >= t
 
+let zeros n =
+  let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.c_layout n in
+  Bigarray.Array1.fill a 0L;
+  a
+
 (* Per-net accumulators: bits ever seen 1 / ever seen 0.  Per-eligible-
-   cell accumulators: violation masks for a->b and b->a. *)
+   cell accumulators: violation masks for a->b and b->a.  All four are
+   unboxed word stores read and written next to the simulator's own, so
+   the per-cycle observation allocates nothing. *)
 let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
     stimulus =
   let sim = Netlist.Sim64.create d in
+  let v = Netlist.Sim64.words sim in
   let n_nets = D.num_nets d in
-  let seen1 = Array.make n_nets 0L in
-  let seen0 = Array.make n_nets 0L in
+  let seen1 = zeros n_nets in
+  let seen0 = zeros n_nets in
   let eligible =
     let acc = ref [] in
     D.iter_cells d (fun ci c ->
@@ -41,17 +49,13 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
             ());
     Array.of_list !acc
   in
-  let viol_ab = Array.make (Array.length eligible) 0L in
-  let viol_ba = Array.make (Array.length eligible) 0L in
+  let el_a = Array.map (fun (_, a, _) -> a) eligible in
+  let el_b = Array.map (fun (_, _, b) -> b) eligible in
+  let viol_ab = zeros (Array.length eligible) in
+  let viol_ba = zeros (Array.length eligible) in
   let rng = Random.State.make [| config.seed |] in
-  let inputs = D.inputs d in
-  let random_word () =
-    Int64.logor
-      (Int64.of_int (Random.State.bits rng))
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
-  in
+  let feed = Stimulus.feed d stimulus in
+  let set = Netlist.Sim64.set_input sim in
   (* Lanes where the environment assumption does not hold are masked
      out of observation: they neither create nor kill candidates.
      (They may still steer the state; that only widens behaviour, which
@@ -63,27 +67,26 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
      round that contributed its final piece of evidence. *)
   let attributing = attribution <> None in
   let net_round = Array.make (if attributing then n_nets else 0) 0 in
-  let observe run mask =
+  let observe run =
+    let mask = v.{assume} in
     if mask <> 0L then begin
       for n = 0 to n_nets - 1 do
-        let v = Netlist.Sim64.read sim n in
-        let s1 = Int64.logor seen1.(n) (Int64.logand v mask) in
-        let s0 = Int64.logor seen0.(n) (Int64.logand (Int64.lognot v) mask) in
-        if attributing && (s1 <> seen1.(n) || s0 <> seen0.(n)) then
-          net_round.(n) <- run;
-        seen1.(n) <- s1;
-        seen0.(n) <- s0
+        let x = v.{n} and s1 = seen1.{n} and s0 = seen0.{n} in
+        let s1' = Int64.logor s1 (Int64.logand x mask) in
+        let s0' = Int64.logor s0 (Int64.logand (Int64.lognot x) mask) in
+        if attributing && (s1' <> s1 || s0' <> s0) then net_round.(n) <- run;
+        seen1.{n} <- s1';
+        seen0.{n} <- s0'
       done;
-      Array.iteri
-        (fun i (_, a, b) ->
-          let va = Netlist.Sim64.read sim a and vb = Netlist.Sim64.read sim b in
-          viol_ab.(i) <-
-            Int64.logor viol_ab.(i)
-              (Int64.logand mask (Int64.logand va (Int64.lognot vb)));
-          viol_ba.(i) <-
-            Int64.logor viol_ba.(i)
-              (Int64.logand mask (Int64.logand vb (Int64.lognot va))))
-        eligible;
+      for i = 0 to Array.length el_a - 1 do
+        let va = v.{el_a.(i)} and vb = v.{el_b.(i)} in
+        viol_ab.{i} <-
+          Int64.logor viol_ab.{i}
+            (Int64.logand mask (Int64.logand va (Int64.lognot vb)));
+        viol_ba.{i} <-
+          Int64.logor viol_ba.{i}
+            (Int64.logand mask (Int64.logand vb (Int64.lognot va)))
+      done;
       incr observed_lanes
     end
   in
@@ -93,15 +96,9 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
        Netlist.Sim64.reset sim;
        for _cycle = 1 to config.cycles do
          if expired deadline then raise Exit;
-         let driven = stimulus.Stimulus.drive rng in
-         let driven_nets = List.map fst driven in
-         List.iter
-           (fun (_, n) ->
-             if not (List.mem n driven_nets) then Netlist.Sim64.set_input sim n (random_word ()))
-           inputs;
-         List.iter (fun (n, v) -> Netlist.Sim64.set_input sim n v) driven;
+         Stimulus.next_cycle feed rng set;
          Netlist.Sim64.eval sim;
-         observe run (Netlist.Sim64.read sim assume);
+         observe run;
          Netlist.Sim64.step sim;
          incr simulated
        done
@@ -118,23 +115,23 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
   else begin
   (* Primary inputs and rails are not rewiring targets. *)
   let is_input = Array.make n_nets false in
-  List.iter (fun (_, n) -> is_input.(n) <- true) inputs;
+  List.iter (fun (_, n) -> is_input.(n) <- true) (D.inputs d);
   let consts = ref [] in
   for n = n_nets - 1 downto 2 do
     if not is_input.(n) then
-      if seen1.(n) = 0L then consts := Candidate.Const (n, false) :: !consts
-      else if seen0.(n) = 0L then consts := Candidate.Const (n, true) :: !consts
+      if seen1.{n} = 0L then consts := Candidate.Const (n, false) :: !consts
+      else if seen0.{n} = 0L then consts := Candidate.Const (n, true) :: !consts
   done;
   let implications = ref [] in
   Array.iteri
     (fun i (cell, a, b) ->
       (* skip implications already subsumed by a constant candidate *)
-      let a_const = seen1.(a) = 0L || seen0.(a) = 0L in
-      let b_const = seen1.(b) = 0L || seen0.(b) = 0L in
+      let a_const = seen1.{a} = 0L || seen0.{a} = 0L in
+      let b_const = seen1.{b} = 0L || seen0.{b} = 0L in
       if not (a_const || b_const) then begin
-        if viol_ab.(i) = 0L then
+        if viol_ab.{i} = 0L then
           implications := Candidate.Implies { cell; a; b } :: !implications;
-        if viol_ba.(i) = 0L then
+        if viol_ba.{i} = 0L then
           implications := Candidate.Implies { cell; a = b; b = a } :: !implications
       end)
     eligible;
@@ -168,22 +165,17 @@ let refine ?(config = default) ?(assume = D.net_true) ?deadline ?kills d
     stimulus cands =
   let sim = Netlist.Sim64.create d in
   let rng = Random.State.make [| config.seed lxor 0x5EED |] in
-  let inputs = D.inputs d in
+  let feed = Stimulus.feed d stimulus in
+  let set = Netlist.Sim64.set_input sim in
   let cands = Array.of_list cands in
+  let probes = Candidate.probes cands in
   let alive = Array.make (Array.length cands) true in
-  let random_word () =
-    Int64.logor
-      (Int64.of_int (Random.State.bits rng))
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
-  in
   (* Kill attribution (optional): keep the current run's input history
      (one word per input per cycle) so a kill can be converted into a
      single-lane replayable trace from reset — the refuting assignment,
      captured where it was found. *)
   let capturing = kills <> None in
-  let inputs_arr = Array.of_list (List.map snd inputs) in
+  let inputs_arr = Array.of_list (List.map snd (D.inputs d)) in
   let history = ref [] (* newest cycle first *) in
   let cex_of_lane lane =
     let frames =
@@ -206,50 +198,25 @@ let refine ?(config = default) ?(assume = D.net_true) ?deadline ?kills d
     for cycle = 1 to config.cycles do
       if expired deadline then raise Exit;
       incr simulated;
-      let driven = stimulus.Stimulus.drive rng in
-      let driven_nets = List.map fst driven in
-      List.iter
-        (fun (_, n) ->
-          if not (List.mem n driven_nets) then
-            Netlist.Sim64.set_input sim n (random_word ()))
-        inputs;
-      List.iter (fun (n, v) -> Netlist.Sim64.set_input sim n v) driven;
+      Stimulus.next_cycle feed rng set;
       Netlist.Sim64.eval sim;
       if capturing then
         history :=
           Array.map (fun n -> Netlist.Sim64.read sim n) inputs_arr :: !history;
-      let mask = Netlist.Sim64.read sim assume in
-      if mask <> 0L then
-        Array.iteri
-          (fun i cand ->
-            if alive.(i) then
-              let viol =
-                match cand with
-                | Candidate.Const (n, true) ->
-                    Int64.logand mask (Int64.lognot (Netlist.Sim64.read sim n))
-                | Candidate.Const (n, false) ->
-                    Int64.logand mask (Netlist.Sim64.read sim n)
-                | Candidate.Implies { a; b; _ } ->
-                    Int64.logand mask
-                      (Int64.logand (Netlist.Sim64.read sim a)
-                         (Int64.lognot (Netlist.Sim64.read sim b)))
-              in
-              if viol <> 0L then begin
-                alive.(i) <- false;
-                if capturing then begin
-                  let lane = lane_of_mask viol in
-                  killed :=
-                    ( cand,
-                      {
-                        k_run = run;
-                        k_cycle = cycle;
-                        k_lane = lane;
-                        k_cex = Some (cex_of_lane lane);
-                      } )
-                    :: !killed
-                end
-              end)
-          cands;
+      Candidate.iter_violated probes sim ~assume ~alive (fun i viol ->
+          alive.(i) <- false;
+          if capturing then begin
+            let lane = lane_of_mask viol in
+            killed :=
+              ( cands.(i),
+                {
+                  k_run = run;
+                  k_cycle = cycle;
+                  k_lane = lane;
+                  k_cex = Some (cex_of_lane lane);
+                } )
+              :: !killed
+          end);
       Netlist.Sim64.step sim
     done
   done

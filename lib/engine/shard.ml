@@ -10,17 +10,12 @@ let candidate_nets = function
 let signatures d cands =
   let sim = Netlist.Sim64.create d in
   let rng = Random.State.make [| 0x5A4D |] in
-  let random_word () =
-    Int64.logor
-      (Int64.of_int (Random.State.bits rng))
-      (Int64.logor
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-         (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
-  in
   let sigs = Array.make (Array.length cands) 0 in
   let inputs = D.inputs d in
   for _ = 1 to 16 do
-    List.iter (fun (_, n) -> Netlist.Sim64.set_input sim n (random_word ())) inputs;
+    List.iter
+      (fun (_, n) -> Netlist.Sim64.set_input sim n (Stimulus.random_word rng))
+      inputs;
     Netlist.Sim64.eval sim;
     Array.iteri
       (fun i cand ->

@@ -23,13 +23,6 @@ let shape = function
   | Candidate.Const (n, b) -> Sh_const (n, b)
   | Candidate.Implies { a; b; _ } -> Sh_implies (a, b)
 
-let random_word rng =
-  Int64.logor
-    (Int64.of_int (Random.State.bits rng))
-    (Int64.logor
-       (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 30)
-       (Int64.shift_left (Int64.of_int (Random.State.bits rng)) 60))
-
 (* 64-lane violation word of a candidate's claim, masked by the lanes
    where the environment assumption holds: equal words on every probe
    is the bucketing signature, and genuinely equivalent candidates are
@@ -70,10 +63,10 @@ let partition ?(runs = 4) ?(cycles = 64) ?(seed = 0x51EE) ?(conflict_budget = 50
   for _ = 1 to runs do
     (* a fresh random state per run: induction's step side quantifies
        over free states, so the signature must too *)
-    Netlist.Sim64.load_state sim (fun _ -> random_word rng);
+    Netlist.Sim64.load_state sim (fun _ -> Stimulus.random_word rng);
     for _ = 1 to cycles do
       List.iter
-        (fun (_, nnet) -> Netlist.Sim64.set_input sim nnet (random_word rng))
+        (fun (_, nnet) -> Netlist.Sim64.set_input sim nnet (Stimulus.random_word rng))
         inputs;
       Netlist.Sim64.eval sim;
       let mask = Netlist.Sim64.read sim assume in

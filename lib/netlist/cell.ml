@@ -79,14 +79,14 @@ let is_sequential = function
   | Const0 | Const1 | Buf | Inv | And2 | Or2 | Nand2 | Nor2 | Xor2 | Xnor2
   | And3 | Or3 | Nand3 | Nor3 | And4 | Or4 | Mux2 | Aoi21 | Oai21 -> false
 
-let bad_arity k n =
-  invalid_arg
-    (Printf.sprintf "Cell.eval %s: expected %d inputs, got %d" (name k)
-       (arity k) n)
+let check_arity k n =
+  if n <> arity k then
+    invalid_arg
+      (Printf.sprintf "Cell.eval %s: expected %d inputs, got %d" (name k)
+         (arity k) n)
 
 let eval k (ins : int64 array) : int64 =
-  let n = Array.length ins in
-  if n <> arity k then bad_arity k n;
+  check_arity k (Array.length ins);
   let ( &: ) = Int64.logand
   and ( |: ) = Int64.logor
   and ( ^: ) = Int64.logxor

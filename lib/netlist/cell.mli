@@ -46,8 +46,13 @@ val is_sequential : kind -> bool
 val eval : kind -> int64 array -> int64
 (** Bit-parallel evaluation of a combinational cell over 64 lanes; each
     bit position of the operands is an independent simulation lane.
+    The reference semantics that {!Sim64}'s compiled kernel implements.
     @raise Invalid_argument on [Dff] (sequential update is the
     simulator's job) or on an input array of the wrong length. *)
+
+val check_arity : kind -> int -> unit
+(** [check_arity k n] accepts [n] input pins for a [k] cell.
+    @raise Invalid_argument with {!eval}'s message when [n <> arity k]. *)
 
 val input_pin_name : kind -> int -> string
 (** Pin name used by the Verilog backend: ["A1"], ["A2"], ["S"], ["D"]... *)

@@ -6,12 +6,25 @@
     broadcast each bit across all lanes and read lane 0.
 
     Per-cycle protocol: {!set_input} / {!set_bus}, then {!eval}, then
-    read outputs, then {!step} to clock the flip-flops. *)
+    read outputs, then {!step} to clock the flip-flops.
+
+    {!create} compiles the design: the topological schedule is
+    flattened into an opcode array and operand-net arrays, and net
+    values live in one unboxed word store, so {!eval} and {!step}
+    allocate nothing.  The simulator is a snapshot of the design at
+    {!create}: later {!Design.replace_cell} or
+    {!Design.unsafe_add_cell_out} edits are not seen, and simulating
+    the edited design needs a new simulator. *)
 
 type t
 
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 val create : Design.t -> t
-(** Builds the schedule once; reset state is applied. *)
+(** Compiles the design; reset state is applied.
+    @raise Invalid_argument ["Cell.eval <CELL>: expected <n> inputs, got
+    <m>"] if a cell's fanin does not match its arity.
+    @raise Topo.Combinational_cycle on a combinational loop. *)
 
 val design : t -> Design.t
 
@@ -36,6 +49,12 @@ val step : t -> unit
 
 val read : t -> Design.net -> int64
 (** Value after the latest {!eval}. *)
+
+val words : t -> words
+(** The simulator's own net-value store: [(words t).{n}] is [read t n].
+    Loops outside this library that sweep many nets per cycle read it
+    directly, because a {!read} that the compiler does not inline boxes
+    its result.  Read-only: drive inputs through {!set_input}. *)
 
 val set_bus : t -> Design.net array -> int -> unit
 (** LSB-first; each bit is broadcast to all 64 lanes. *)

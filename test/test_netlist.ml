@@ -227,6 +227,117 @@ let test_sim_adder () =
     done
   done
 
+(* One cell of every combinational kind, each on its own fresh inputs,
+   driven with random 64-lane words: the compiled kernel must agree
+   with [Cell.eval] lane for lane. *)
+let test_sim_kernel_matches_cell_eval () =
+  let d = D.create "kinds" in
+  let gates =
+    List.filter_map
+      (fun kind ->
+        if C.is_sequential kind then None
+        else
+          let ins =
+            Array.init (C.arity kind) (fun i ->
+                D.add_input d (Printf.sprintf "%s_%d" (C.name kind) i))
+          in
+          Some (kind, ins, D.add_cell d kind ins))
+      C.all
+  in
+  let sim = Netlist.Sim64.create d in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 200 do
+    let words =
+      List.map
+        (fun (kind, ins, out) ->
+          let w = Array.map (fun _ -> Random.State.bits64 rng) ins in
+          Array.iteri (fun i n -> Netlist.Sim64.set_input sim n w.(i)) ins;
+          (kind, w, out))
+        gates
+    in
+    Netlist.Sim64.eval sim;
+    List.iter
+      (fun (kind, w, out) ->
+        if Netlist.Sim64.read sim out <> C.eval kind w then
+          Alcotest.failf "%s: kernel disagrees with Cell.eval" (C.name kind))
+      words
+  done;
+  (* pin order, spelled out: Mux2 is [| sel; a; b |] with [a] when sel = 0;
+     Aoi21/Oai21 are [| a1; a2; b |] with [b] outside the inner gate *)
+  let out_of kind w =
+    let _, ins, out = List.find (fun (k, _, _) -> k = kind) gates in
+    Array.iteri (fun i n -> Netlist.Sim64.set_input sim n w.(i)) ins;
+    Netlist.Sim64.eval sim;
+    Netlist.Sim64.read sim out
+  in
+  let sel = 0x00FF00FF00FF00FFL and a = 0x0F0F0F0F0F0F0F0FL
+  and b = 0x3333333333333333L in
+  let open Int64 in
+  check "mux2 picks a where sel = 0" true
+    (out_of C.Mux2 [| sel; a; b |]
+    = logor (logand (lognot sel) a) (logand sel b));
+  check "aoi21 = !((a1 & a2) | b)" true
+    (out_of C.Aoi21 [| sel; a; b |] = lognot (logor (logand sel a) b));
+  check "oai21 = !((a1 | a2) & b)" true
+    (out_of C.Oai21 [| sel; a; b |] = lognot (logand (logor sel a) b))
+
+let test_sim_flop_chain_latches_pre_edge () =
+  (* in -> q1 -> q2: one edge moves the input into q1 only *)
+  let d = D.create "chain" in
+  let i = D.add_input d "i" in
+  let q1 = D.add_dff d ~d:i () in
+  let q2 = D.add_dff d ~d:q1 () in
+  D.add_output d "q2" q2;
+  let sim = Netlist.Sim64.create d in
+  Netlist.Sim64.set_input sim i (-1L);
+  Netlist.Sim64.eval sim;
+  Netlist.Sim64.step sim;
+  Netlist.Sim64.eval sim;
+  check "q1 latched the input" true (Netlist.Sim64.read sim q1 = -1L);
+  check "q2 latched q1's pre-edge value" true (Netlist.Sim64.read sim q2 = 0L);
+  Netlist.Sim64.step sim;
+  Netlist.Sim64.eval sim;
+  check "q2 one edge later" true (Netlist.Sim64.read sim q2 = -1L)
+
+let test_sim_reset_load_state_roundtrip () =
+  let d = D.create "regs" in
+  let i = D.add_input d "i" in
+  let q0 = D.add_dff d ~init:false ~d:i () in
+  let q1 = D.add_dff d ~init:true ~d:i () in
+  let x = D.add_cell d C.Xor2 [| q0; q1 |] in
+  D.add_output d "x" x;
+  let sim = Netlist.Sim64.create d in
+  let state q = if q = q0 then 0x1234L else 0x5678L in
+  Netlist.Sim64.set_input sim i (-1L);
+  Netlist.Sim64.load_state sim state;
+  Netlist.Sim64.eval sim;
+  check "loaded state read back" true
+    (Netlist.Sim64.read sim q0 = 0x1234L && Netlist.Sim64.read sim q1 = 0x5678L);
+  check "logic sees loaded state" true
+    (Netlist.Sim64.read sim x = Int64.logxor 0x1234L 0x5678L);
+  Netlist.Sim64.reset sim;
+  Netlist.Sim64.eval sim;
+  check "reset values" true
+    (Netlist.Sim64.read sim q0 = 0L && Netlist.Sim64.read sim q1 = -1L);
+  check "reset clears inputs" true (Netlist.Sim64.read sim i = 0L);
+  Netlist.Sim64.load_state sim state;
+  Netlist.Sim64.eval sim;
+  check "load after reset" true
+    (Netlist.Sim64.read sim x = Int64.logxor 0x1234L 0x5678L)
+
+let test_sim_eval_step_allocate_nothing () =
+  let d = (Cores.Ibex_like.build ()).Cores.Ibex_like.design in
+  let sim = Netlist.Sim64.create d in
+  Netlist.Sim64.eval sim;
+  Netlist.Sim64.step sim;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Netlist.Sim64.eval sim;
+    Netlist.Sim64.step sim
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words over 10 cycles" 0. (after -. before)
+
 (* --- equivalence harness used by verilog/obfuscate tests -------------- *)
 
 let random_stimulus rng nets = List.map (fun n -> (n, Random.State.int64 rng Int64.max_int)) nets
@@ -396,6 +507,14 @@ let () =
         [
           Alcotest.test_case "toggle flop" `Quick test_sim_toggle_flop;
           Alcotest.test_case "4-bit adder exhaustive" `Quick test_sim_adder;
+          Alcotest.test_case "kernel matches Cell.eval" `Quick
+            test_sim_kernel_matches_cell_eval;
+          Alcotest.test_case "flop chain latches pre-edge values" `Quick
+            test_sim_flop_chain_latches_pre_edge;
+          Alcotest.test_case "reset and load_state round-trip" `Quick
+            test_sim_reset_load_state_roundtrip;
+          Alcotest.test_case "eval and step allocate nothing" `Quick
+            test_sim_eval_step_allocate_nothing;
         ] );
       ( "verilog",
         [
