@@ -97,14 +97,13 @@ let top_costs_json (stats : Engine.Induction.stats) =
        (fun (r : Obs.Attr.row) ->
          Printf.sprintf
            "{\"key\": \"%s\", \"shard\": %s, \"sat_calls\": %d, \
-            \"conflicts\": %d, \"core_skips\": %d, \"wall_s\": %.4f, \
-            \"static\": %b}"
+            \"conflicts\": %d, \"wall_s\": %.4f, \"static\": %b}"
            (json_escape r.Obs.Attr.a_key)
            (match r.Obs.Attr.a_shard with
            | Some s -> string_of_int s
            | None -> "null")
-           r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts
-           r.Obs.Attr.a_core_skips r.Obs.Attr.a_wall_s r.Obs.Attr.a_static)
+           r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s
+           r.Obs.Attr.a_static)
        stats.Engine.Induction.top_costs)
 
 let counters_json cs =
@@ -554,10 +553,9 @@ let run_sat () =
     let r = f () in
     (r, Obs.Clock.now_s () -. t0)
   in
-  (* all three provers run serially in this process so the comparison is
-     pure solver work: snapshot/restore baseline, incremental with
-     selector-guarded clauses and core skips, incremental behind the
-     sieve *)
+  (* both provers run serially in this process so the comparison is pure
+     solver work: snapshot/restore baseline vs incremental with
+     selector-guarded clauses *)
   let (snap, s_snap), t_snap =
     timed (fun () ->
         Engine.Induction.prove_snapshot ~options:opts ~assume model candidates)
@@ -566,35 +564,20 @@ let run_sat () =
     timed (fun () ->
         Engine.Induction.prove ~options:opts ~assume model candidates)
   in
-  let (siv, s_siv), t_siv =
-    timed (fun () ->
-        Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~sieve:true
-          ~assume model candidates)
-  in
   let sorted l = List.sort Engine.Candidate.compare l in
-  let identical = sorted snap = sorted inc && sorted inc = sorted siv in
+  let identical = sorted snap = sorted inc in
   Format.printf "snapshot   : proved %d in %.2fs (%d SAT calls)@."
     (List.length snap) t_snap s_snap.Engine.Induction.sat_calls;
-  Format.printf "incremental: proved %d in %.2fs (%d SAT calls, %d core skips)@."
-    (List.length inc) t_inc s_inc.Engine.Induction.sat_calls
-    s_inc.Engine.Induction.core_skips;
-  Format.printf
-    "sieve      : proved %d in %.2fs (%d SAT calls, %d sieved into %d \
-     classes, %d sieve SAT calls)@."
-    (List.length siv) t_siv s_siv.Engine.Induction.sat_calls
-    s_siv.Engine.Induction.n_sieved s_siv.Engine.Induction.sieve_classes
-    s_siv.Engine.Induction.sieve_sat_calls;
+  Format.printf "incremental: proved %d in %.2fs (%d SAT calls)@."
+    (List.length inc) t_inc s_inc.Engine.Induction.sat_calls;
   if not identical then begin
-    Format.eprintf
-      "FAIL: proved sets differ (snapshot %d, incremental %d, sieve %d)@."
-      (List.length snap) (List.length inc) (List.length siv);
+    Format.eprintf "FAIL: proved sets differ (snapshot %d, incremental %d)@."
+      (List.length snap) (List.length inc);
     exit 1
   end;
   Format.printf "proved sets identical: yes@.";
   let speedup_incremental = if t_inc > 0. then t_snap /. t_inc else 0. in
-  let speedup_sieve = if t_siv > 0. then t_snap /. t_siv else 0. in
-  Format.printf "speedup vs snapshot: incremental %.2fx, sieve %.2fx@."
-    speedup_incremental speedup_sieve;
+  Format.printf "speedup vs snapshot: incremental %.2fx@." speedup_incremental;
   if speedup_incremental < 1.0 then begin
     Format.eprintf
       "FAIL: incremental prover slower than the snapshot baseline (%.2fx)@."
@@ -607,18 +590,12 @@ let run_sat () =
          "  \"candidates\": %d,\n  \"proved\": %d,\n  \"identical\": %b,\n  \
           \"cores\": %d,\n  \"jobs_effective\": %d,\n  \
           \"t_snapshot_s\": %.3f,\n  \"t_incremental_s\": %.3f,\n  \
-          \"t_sieve_s\": %.3f,\n  \"speedup_incremental\": %.3f,\n  \
-          \"speedup_sieve\": %.3f,\n  \"snapshot_sat_calls\": %d,\n  \
-          \"incremental_sat_calls\": %d,\n  \"core_skips\": %d,\n  \
-          \"sieved\": %d,\n  \"sieve_classes\": %d,\n  \
-          \"sieve_sat_calls\": %d,\n  \"top_costs\": [%s]\n"
+          \"speedup_incremental\": %.3f,\n  \"snapshot_sat_calls\": %d,\n  \
+          \"incremental_sat_calls\": %d,\n  \"top_costs\": [%s]\n"
          (List.length candidates) (List.length inc) identical
-         (Obs.Hw.online_cores ()) 1 t_snap t_inc
-         t_siv speedup_incremental speedup_sieve
+         (Obs.Hw.online_cores ()) 1 t_snap t_inc speedup_incremental
          s_snap.Engine.Induction.sat_calls s_inc.Engine.Induction.sat_calls
-         s_inc.Engine.Induction.core_skips s_siv.Engine.Induction.n_sieved
-         s_siv.Engine.Induction.sieve_classes
-         s_siv.Engine.Induction.sieve_sat_calls (top_costs_json s_inc))
+         (top_costs_json s_inc))
 
 (* --- absint: static tier + induction strengthening ---------------------- *)
 

@@ -41,15 +41,6 @@ let cache_dir_arg =
 
 let make_cache = Option.map (fun d -> Engine.Proof_cache.create ~dir:d ())
 
-let sieve_flag =
-  let doc =
-    "Enable the simulation-signature sieve in front of the prover: \
-     pointwise-equivalent candidates are proved once per class and the \
-     verdict transfers, without changing the proved set (also enabled by \
-     \\$(b,PDAT_SIEVE))."
-  in
-  Arg.(value & flag & info [ "sieve" ] ~doc)
-
 let absint_flag =
   let doc =
     "Enable the abstract-interpretation static tier: an over-approximate \
@@ -285,7 +276,7 @@ let reduce_cmd =
   let port_flag =
     Arg.(value & flag & info [ "port" ] ~doc:"Force port-based constraints.")
   in
-  let run fast jobs cache_dir sieve absint core subset_name port out validate
+  let run fast jobs cache_dir absint core subset_name port out validate
       time_budget lint inject_kind trace log metrics_out run_dir resume
       retries =
     if inject_kind <> None && not validate then begin
@@ -304,7 +295,6 @@ let reduce_cmd =
     let result =
       match
         Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir)
-          ?sieve:(if sieve then Some true else None)
           ?absint:(if absint then Some true else None) ~validate
           ?time_budget ~lint ?inject
           ?trace:(Option.map Obs.sink_of_path trace) ?log ?metrics_out
@@ -341,10 +331,9 @@ let reduce_cmd =
   Cmd.v
     (Cmd.info "reduce"
        ~doc:"Reduce a core for an ISA subset and optionally export Verilog")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ sieve_flag
-          $ absint_flag $ core_arg $ subset_arg
-          $ port_flag $ out_arg $ validate_flag $ time_budget_arg
-          $ lint_gate_arg $ inject_arg $ trace_arg $ log_arg
+    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ absint_flag
+          $ core_arg $ subset_arg $ port_flag $ out_arg $ validate_flag
+          $ time_budget_arg $ lint_gate_arg $ inject_arg $ trace_arg $ log_arg
           $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
 
 (* ---------------- lint ------------------------------------------------ *)
@@ -457,7 +446,7 @@ let report_cmd =
     in
     Arg.(value & opt string "." & info [ "out-dir" ] ~doc ~docv:"DIR")
   in
-  let run fast jobs cache_dir sieve absint core subset_name port validate
+  let run fast jobs cache_dir absint core subset_name port validate
       time_budget dump_cex out_dir log metrics_out run_dir resume retries =
     if resume && run_dir = None then begin
       Format.eprintf "--resume needs --run-dir to locate the journal@.";
@@ -469,7 +458,6 @@ let report_cmd =
     let result =
       match
         Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir)
-          ?sieve:(if sieve then Some true else None)
           ?absint:(if absint then Some true else None) ~validate
           ?time_budget ~lint:Analysis.Lint.Warn ~provenance:prov ?dump_cex
           ?log ?metrics_out ?run_dir ~resume ?retries ~design ~env ()
@@ -524,11 +512,10 @@ let report_cmd =
        ~doc:
          "Run the pipeline with full provenance tracking and emit the \
           machine-readable and human run reports")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ sieve_flag
-          $ absint_flag $ core_arg $ subset_arg
-          $ port_flag $ validate_flag $ time_budget_arg $ dump_cex_arg
-          $ out_dir_arg $ log_arg $ metrics_out_arg $ run_dir_arg
-          $ resume_flag $ retries_arg)
+    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ absint_flag
+          $ core_arg $ subset_arg $ port_flag $ validate_flag
+          $ time_budget_arg $ dump_cex_arg $ out_dir_arg $ log_arg
+          $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
 
 (* ---------------- chaos ------------------------------------------------ *)
 

@@ -26,21 +26,7 @@ let proved_keys prov =
   Report.Provenance.records prov
   |> List.filter_map (fun (r : Report.Provenance.cand_record) ->
          match r.Report.Provenance.attribution with
-         | Some { Engine.Induction.verdict = Engine.Induction.V_proved _; _ }
-         | Some
-             {
-               Engine.Induction.verdict =
-                 Engine.Induction.V_cached Engine.Proof_cache.Proved;
-               _;
-             }
-         | Some
-             {
-               Engine.Induction.verdict =
-                 Engine.Induction.V_sieved { proved = true; _ };
-               _;
-             }
-         | Some
-             { Engine.Induction.verdict = Engine.Induction.V_static_proved; _ }
+         | Some a when Engine.Induction.verdict_proves a.Engine.Induction.verdict
            ->
              Some (Engine.Candidate.key r.Report.Provenance.cand)
          | _ -> None)

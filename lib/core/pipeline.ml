@@ -70,14 +70,6 @@ let default_jobs () =
         | _ -> 1)
     | None -> 1)
 
-let default_sieve () =
-  match Sys.getenv_opt "PDAT_SIEVE" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "on" | "yes" -> true
-      | _ -> false)
-  | None -> false
-
 let default_absint () =
   match Sys.getenv_opt "PDAT_ABSINT" with
   | Some s -> (
@@ -155,12 +147,11 @@ let run_digest ~absint ~design ~env =
           silently change what the prove stage could have proved *)
        ^ (if absint then "+absint" else "")))
 
-let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
+let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
     ?absint ?(validate = false) ?validate_config ?validate_stimulus
     ?time_budget ?(lint = Analysis.Lint.Off) ?inject ?provenance ?dump_cex
     ?trace ?log ?metrics_out ?run_dir ?(resume = false) ?retries ~design ~env
     () =
-  let sieve = match sieve with Some s -> s | None -> default_sieve () in
   let absint = match absint with Some a -> a | None -> default_absint () in
   let env_path var =
     match Sys.getenv_opt var with
@@ -309,7 +300,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
       [
         ("variant", Obs.Str env.Environment.description);
         ("jobs", Obs.Int jobs);
-        ("sieve", Obs.Bool sieve);
         ("absint", Obs.Bool absint);
       ];
   let injected = ref None in
@@ -476,7 +466,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
             Engine.Induction.prove_parallel ~options:induction_options
               ?attributions ~cex:(env.Environment.stimulus, 24) ~jobs ?cache
               ?absint:absint_fix ?retries ?checkpoint
-              ~recovered:recovered_shards ~sieve
+              ~recovered:recovered_shards
               ~assume:env.Environment.assume env.Environment.model candidates)
   in
   journal_stage "prove" (List.map Engine.Candidate.key proved);

@@ -118,11 +118,6 @@ val max_cex_dumps : int
 (** Cap on waveforms written per run by [?dump_cex] (records are
     visited in provenance-id order, so the sample is deterministic). *)
 
-val default_sieve : unit -> bool
-(** The sieve setting used when [run] gets no [?sieve]: the
-    [PDAT_SIEVE] environment variable ("1"/"true"/"on"/"yes" — default
-    off). *)
-
 val default_absint : unit -> bool
 (** The absint setting used when [run] gets no [?absint]: the
     [PDAT_ABSINT] environment variable ("1"/"true"/"on"/"yes" — default
@@ -164,14 +159,9 @@ val run :
     given, settles previously-decided candidates without SAT and is
     flushed to disk (when disk-backed) right after the proof stage.
 
-    [sieve] (default {!default_sieve}, i.e. [PDAT_SIEVE]) enables the
-    simulation-signature sieve in front of the prover
-    ({!Engine.Induction.prove_parallel}): pointwise-equivalent
-    candidates are proved once per class and the verdict transfers,
-    without changing the proved set.  Stage-level journal entries are
-    sieve-agnostic (they record surviving candidate keys), so a
-    journaled run may be resumed with either setting; shard-level
-    checkpoints match only between runs with the same setting.
+    [sieve] is ignored: nothing reads it.  It is kept only so that
+    callers written when it switched on the (since removed)
+    simulation-signature sieve still compile.
 
     [absint] (default {!default_absint}, i.e. [PDAT_ABSINT]) runs the
     abstract interpreter ({!Engine.Absint}) over the environment model

@@ -21,10 +21,6 @@ type stats = {
   decisions : int;
   propagations : int;
   rounds : int;
-  core_skips : int;
-  n_sieved : int;
-  sieve_classes : int;
-  sieve_sat_calls : int;
   budget_exhausted : bool;
   deadline_exceeded : bool;
   workers : int;
@@ -55,10 +51,6 @@ let blank_stats =
     decisions = 0;
     propagations = 0;
     rounds = 0;
-    core_skips = 0;
-    n_sieved = 0;
-    sieve_classes = 0;
-    sieve_sat_calls = 0;
     budget_exhausted = false;
     deadline_exceeded = false;
     workers = 0;
@@ -86,12 +78,6 @@ let pp_stats fmt s =
     s.n_candidates s.n_proved s.sat_calls s.conflicts s.rounds
     (if s.budget_exhausted then " (budget exhausted)" else "")
     (if s.deadline_exceeded then " (deadline exceeded)" else "");
-  if s.core_skips > 0 then Format.fprintf fmt " core_skips=%d" s.core_skips;
-  if s.sieve_classes > 0 then
-    Format.fprintf fmt " sieve=%d/%d classes (%d sieve SAT calls)"
-      s.sieve_classes
-      (s.sieve_classes + s.n_sieved)
-      s.sieve_sat_calls;
   if s.workers > 0 then begin
     Format.fprintf fmt " workers=%d shards=[%s] worker_wall=%.1fs"
       s.workers
@@ -133,7 +119,6 @@ type verdict =
   | V_not_inductive
   | V_dropped of string
   | V_cached of Proof_cache.verdict
-  | V_sieved of { rep : Candidate.t; proved : bool }
   | V_static_proved
 
 let verdict_label = function
@@ -144,9 +129,13 @@ let verdict_label = function
   | V_dropped _ -> "dropped"
   | V_cached Proof_cache.Proved -> "cached-proved"
   | V_cached Proof_cache.Disproved -> "cached-disproved"
-  | V_sieved { proved = true; _ } -> "sieved-proved"
-  | V_sieved { proved = false; _ } -> "sieved-dropped"
   | V_static_proved -> "static-proved"
+
+let verdict_proves = function
+  | V_proved _ | V_cached Proof_cache.Proved | V_static_proved -> true
+  | V_refuted _ | V_sim_killed | V_not_inductive | V_dropped _
+  | V_cached Proof_cache.Disproved ->
+      false
 
 (* A candidate's claim at a given frame, as a bare literal list (the
    clause asserting it), optionally under a guard literal. *)
@@ -263,7 +252,6 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
   let attr0 = Obs.Attr.export () in
   let alive = Array.make n true in
   let sat_calls = ref 0 in
-  let core_skips = ref 0 in
   (* Fate tracking (optional, for provenance): each candidate's first
      cause of death, or its proof.  [fate.(i)] is write-once. *)
   let want_fates = fates <> None in
@@ -420,36 +408,21 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
         budget_left := Some remaining);
     r
   in
-  (* ---- step-side incremental bookkeeping --------------------------
-     Both sides keep one long-lived solver.  The step side additionally
-     tracks, per candidate:
-     - its selector guard (window claim clauses live under it; a kill
-       retires the selector, physically deleting them);
-     - the unsat core of its last individual step check, as the set of
-       co-candidate indices the proof assumed.  A later kill only
-       invalidates ("dirties") the candidates whose core mentions the
-       victim: everyone else's Unsat is monotone in the shrinking
-       assumption set and is {e not} re-solved ([core_skips]). *)
+  (* Both sides keep one long-lived solver.  On the step side each
+     candidate's window claims live under its selector guard, assumed
+     while the candidate is alive; a kill retires the selector,
+     physically deleting those clauses. *)
   let step_solver = Unroll.solver step.u in
   let step_guards =
     match step.hyp_actives with Some g -> g | None -> [||]
   in
-  let guard_index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i g -> Hashtbl.replace guard_index g i) step_guards;
   let retired = Array.make n false in
-  let cores : int list option array = Array.make n None in
   let sync_kills () =
     Array.iteri
       (fun j a ->
         if (not a) && not retired.(j) then begin
           retired.(j) <- true;
-          S.retire step_solver step_guards.(j);
-          Array.iteri
-            (fun i core ->
-              match core with
-              | Some deps when List.mem j deps -> cores.(i) <- None
-              | _ -> ())
-            cores
+          S.retire step_solver step_guards.(j)
         end)
       alive
   in
@@ -545,27 +518,15 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
           | S.Unsat -> ()
           | S.Unknown -> individual ())
     and individual () =
-      (* Worklist to a fixpoint: only candidates without a valid core
-         are (re-)checked; a kill dirties exactly its dependents. *)
+      (* Re-check every alive candidate on its own, and repeat until a
+         pass kills nothing: a kill withdraws a hypothesis that earlier
+         Unsat answers in the pass may have rested on. *)
       let progress = ref true in
-      let first = ref true in
       while !progress do
         progress := false;
-        let al = alive_indices () in
-        let pending = List.filter (fun i -> cores.(i) = None) al in
-        if not !first then begin
-          core_skips := !core_skips + (List.length al - List.length pending);
-          (* attribution: each alive candidate with a still-valid core
-             just dodged one re-check *)
-          List.iter
-            (fun i ->
-              if cores.(i) <> None then Obs.Attr.credit_core_skip ckey.(i))
-            al
-        end;
-        first := false;
         List.iter
           (fun i ->
-            if alive.(i) && cores.(i) = None then
+            if alive.(i) then
               match
                 Obs.Attr.with_key ckey.(i) (fun () ->
                     budgeted_solve solver
@@ -580,19 +541,13 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
                   cex_propagate step ();
                   sync_kills ();
                   progress := true
-              | S.Unsat ->
-                  let failed = S.failed_assumptions solver in
-                  cores.(i) <-
-                    Some
-                      (List.filter_map
-                         (fun l -> Hashtbl.find_opt guard_index l)
-                         failed)
+              | S.Unsat -> ()
               | S.Unknown ->
                   alive.(i) <- false;
                   record_kill step ~is_base:false i `Inconclusive;
                   sync_kills ();
                   progress := true)
-          pending
+          (alive_indices ())
       done
     in
     aggregate ()
@@ -637,7 +592,6 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
       decisions = snap_base.S.decisions + snap_step.S.decisions;
       propagations = snap_base.S.propagations + snap_step.S.propagations;
       rounds = !rounds;
-      core_skips = !core_skips;
       budget_exhausted = !exhausted;
       deadline_exceeded = !deadline_hit;
       top_costs = Obs.Attr.top (Obs.Attr.delta ~since:attr0 (Obs.Attr.export ()));
@@ -647,7 +601,7 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
    bench baseline: the pre-incremental snapshot/restore discipline.
    Every pass re-encodes the unrolled transition relation into fresh
    solvers and pays one solver round-trip per candidate, so no learned
-   clause, selector or core survives between checks.  Slow but
+   clause or selector survives between checks.  Slow but
    obviously correct — on complete runs (no budget/deadline drop) its
    proved set is the greatest mutual-induction fixpoint, which is
    exactly what [prove] computes incrementally. *)
@@ -788,8 +742,8 @@ type attribution = {
 }
 
 let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
-    ?absint ?attributions ?retries ?checkpoint ?(recovered = [])
-    ?(sieve = false) ~assume d candidate_list =
+    ?absint ?attributions ?retries ?checkpoint ?(recovered = []) ?sieve:_
+    ~assume d candidate_list =
   let retries = match retries with Some r -> max 0 r | None -> default_retries () in
   let attr0 = Obs.Attr.export () in
   let want_fates = attributions <> None in
@@ -860,38 +814,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
      set (never part of the returned proved list) *)
   let solver_known = known @ strengthen in
   let fresh = List.rev !fresh in
-  (* ---- simulation-signature sieve ------------------------------------
-     Partition the cache-missed candidates into pointwise-equivalence
-     classes (under [assume]); only one representative per class enters
-     the prover and the verdict transfers to the rest.  Equivalent
-     candidates are killed by the same models and contribute logically
-     identical induction hypotheses, so the expanded proved set equals
-     the sieve-off one exactly. *)
-  let sieve_classes, sieve_st =
-    if sieve && List.compare_length_with fresh 1 > 0 then begin
-      let classes, sst =
-        Obs.with_span ~cat:"prove" "sieve" (fun () ->
-            Sieve.partition ~assume d fresh)
-      in
-      Obs.add_int "sieve.classes" sst.Sieve.n_classes;
-      Obs.add_int "sieve.sieved" sst.Sieve.n_sieved;
-      (Some classes, sst)
-    end
-    else
-      ( None,
-        {
-          Sieve.n_candidates = 0;
-          n_classes = 0;
-          n_sieved = 0;
-          sat_calls = 0;
-          sat_merges = 0;
-        } )
-  in
-  let work =
-    match sieve_classes with
-    | None -> fresh
-    | Some classes -> List.map (fun c -> c.Sieve.rep) classes
-  in
   let n_total = List.length candidate_list in
   let position = Hashtbl.create (max 16 n_total) in
   List.iteri (fun i cand -> Hashtbl.replace position cand i) candidate_list;
@@ -904,26 +826,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       ~worker_fallbacks ~resumed_shards ~worker_times ~shard_sizes
       ~worker_seconds =
     let workers_failed = List.length worker_failures in
-    (* sieve expansion: every member inherits its representative's
-       verdict, with a [V_sieved] fate naming the rep actually checked *)
-    let proved =
-      match sieve_classes with
-      | None -> proved
-      | Some classes ->
-          let proved_tbl = Hashtbl.create 64 in
-          List.iter (fun cand -> Hashtbl.replace proved_tbl cand ()) proved;
-          List.fold_left
-            (fun acc cl ->
-              let p = Hashtbl.mem proved_tbl cl.Sieve.rep in
-              List.iter
-                (fun m ->
-                  attribute m
-                    (V_sieved { rep = cl.Sieve.rep; proved = p })
-                    None false)
-                cl.Sieve.members;
-              if p then acc @ cl.Sieve.members else acc)
-            proved classes
-    in
     (* verdicts are recorded only for runs that completed cleanly: a
        candidate dropped because a budget ran out is not a refutation
        and must stay re-provable.  Worker crashes no longer poison the
@@ -974,9 +876,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
         cache_hits = !hits;
         cache_misses = !misses;
         worker_seconds;
-        n_sieved = sieve_st.Sieve.n_sieved;
-        sieve_classes = sieve_st.Sieve.n_classes;
-        sieve_sat_calls = sieve_st.Sieve.sat_calls;
         n_static_proved = List.length static_proved;
         strengthening_facts = List.length strengthen;
       } )
@@ -984,7 +883,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
   let serial () =
     let fates = if want_fates then Some (Hashtbl.create 64) else None in
     let proved, st =
-      prove ~options ?cex ~known:solver_known ?fates ~assume d work
+      prove ~options ?cex ~known:solver_known ?fates ~assume d fresh
     in
     (match fates with
     | None -> ()
@@ -999,16 +898,16 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       ~shard_sizes:[] ~worker_seconds:0.
   else if jobs <= 1 then serial ()
   else begin
-    let shards = Shard.partition d ~jobs work in
+    let shards = Shard.partition d ~jobs fresh in
     if List.length shards <= 1 then serial ()
     else begin
-      let n_work = List.length work in
+      let n_fresh = List.length fresh in
       let worker_options shard_n =
         if options.total_conflict_budget <= 0 then options
         else
           { options with
             total_conflict_budget =
-              max 1000 (options.total_conflict_budget * shard_n / n_work) }
+              max 1000 (options.total_conflict_budget * shard_n / n_fresh) }
       in
       let shard_tbls =
         List.map
@@ -1019,7 +918,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
           shards
       in
       let hypotheses_for tbl =
-        List.filter (fun c -> not (Hashtbl.mem tbl c)) work
+        List.filter (fun c -> not (Hashtbl.mem tbl c)) fresh
       in
       let t_fork = Obs.Clock.now_s () in
       (* -------- resume: shards already proved by a prior run -------- *)
@@ -1469,7 +1368,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
         (fun (_, _, proved) ->
           List.iter (fun c -> Hashtbl.replace surv_tbl c ()) proved)
         recovered_results;
-      let survivors = List.filter (Hashtbl.mem surv_tbl) work in
+      let survivors = List.filter (Hashtbl.mem surv_tbl) fresh in
       (* join round: one serial mutual-induction fixpoint over the union
          of shard survivors.  Workers over-assume (every other shard's
          candidates as step hypotheses), so their survivor union is a

@@ -35,16 +35,6 @@ type stats = {
   decisions : int;     (** SAT branch decisions, summed over solvers *)
   propagations : int;  (** unit propagations, summed over solvers *)
   rounds : int;
-  core_skips : int;
-      (** step-side re-checks avoided because the candidate's last
-          unsat core mentioned none of the newly killed co-candidates *)
-  n_sieved : int;
-      (** candidates settled by signature-class verdict transfer
-          instead of their own SAT checks *)
-  sieve_classes : int;  (** equivalence classes that entered the prover *)
-  sieve_sat_calls : int;
-      (** one-frame equivalence-confirmation SAT calls spent by the
-          sieve itself *)
   budget_exhausted : bool;
   deadline_exceeded : bool;  (** the wall-clock budget cut the proof short *)
   workers : int;          (** shards of the parallel run (0 = ran serially) *)
@@ -77,8 +67,8 @@ type stats = {
       (** deterministic top-K most expensive candidates of this run
           ({!Obs.Attr.top} over the run's attribution delta): ranked by
           conflicts, then SAT calls, then key — never by wall time, so
-          for a fixed configuration (same jobs/sieve/absint) the table
-          is byte-reproducible run to run.  Aggregate-round costs are
+          for a fixed configuration (same jobs/absint) the table is
+          byte-reproducible run to run.  Aggregate-round costs are
           shared equally among the candidates the round refuted; rows
           carry the shard that settled them *)
   worker_wall_max_s : float;
@@ -118,11 +108,6 @@ type verdict =
           SAT call, an exhausted budget, a lost worker — the reason
           string says which *)
   | V_cached of Proof_cache.verdict  (** settled by the proof cache *)
-  | V_sieved of { rep : Candidate.t; proved : bool }
-      (** settled by the simulation-signature sieve: the candidate is
-          pointwise equivalent (under the environment assumption) to
-          [rep], whose verdict — [proved] — was transferred to it.
-          [rep] is always a candidate the prover actually checked. *)
   | V_static_proved
       (** discharged by the abstract-interpretation tier: the
           candidate's violation is impossible in the conditioned
@@ -130,6 +115,10 @@ type verdict =
 
 val verdict_label : verdict -> string
 (** Short stable tag ("proved", "refuted", ...) for reports. *)
+
+val verdict_proves : verdict -> bool
+(** Whether the verdict counts as a proof the rewiring stage may cite:
+    [V_proved], [V_cached Proved] and [V_static_proved]. *)
 
 type attribution = {
   verdict : verdict;
@@ -189,7 +178,7 @@ val prove_snapshot :
     differential-test oracle and bench baseline: every pass re-encodes
     the transition relation into fresh solvers and pays one solver
     round-trip per candidate per pass, so nothing — learned clauses,
-    selectors, cores — is reused between checks.  On complete runs
+    selectors — is reused between checks.  On complete runs
     (generous budgets, no [Unknown] drops) its proved set is the
     greatest mutual-induction fixpoint and must be byte-identical to
     {!prove}'s.  No counterexample propagation and no fates: this is a
@@ -255,16 +244,9 @@ val prove_parallel :
     fixpoint (within the original set) is that fixpoint, hence the join
     round's result equals the serial one.
 
-    [sieve] (default [false]) switches on the {!Sieve}: cache-missed
-    candidates are partitioned into pointwise-equivalence classes, only
-    the representatives are sharded and proved, and each member
-    inherits its representative's verdict (fate
-    [V_sieved { rep; proved }]).  Because members are exactly
-    equivalent under [assume], the expanded proved set is byte-identical
-    to a sieve-off run; shard fingerprints, however, are computed over
-    representative sets, so journal checkpoints written with the sieve
-    on only resume runs with the sieve on (the stage-level journal
-    entry is unaffected either way).
+    [sieve] is ignored: nothing reads it.  It is kept only so that
+    callers written when it switched on the (since removed)
+    simulation-signature sieve still compile.
 
     [checkpoint], when given, is called with
     ([{!shard_fingerprint} shard], proved set) each time a shard is

@@ -240,7 +240,6 @@ module Attr = struct
     a_wall_s : float;
     a_sat_calls : int;
     a_conflicts : int;
-    a_core_skips : int;
     a_static : bool;
   }
 
@@ -257,7 +256,6 @@ module Attr = struct
       a_wall_s = 0.;
       a_sat_calls = 0;
       a_conflicts = 0;
-      a_core_skips = 0;
       a_static = false;
     }
 
@@ -285,10 +283,6 @@ module Attr = struct
             a_conflicts = r.a_conflicts + conflicts;
           }
 
-  let credit_core_skip key =
-    let r = find key in
-    Hashtbl.replace atbl key { r with a_core_skips = r.a_core_skips + 1 }
-
   let note_static key =
     let r = find key in
     Hashtbl.replace atbl key { r with a_static = true }
@@ -310,7 +304,6 @@ module Attr = struct
                 a_wall_s = o.a_wall_s +. r.a_wall_s;
                 a_sat_calls = o.a_sat_calls + r.a_sat_calls;
                 a_conflicts = o.a_conflicts + r.a_conflicts;
-                a_core_skips = o.a_core_skips + r.a_core_skips;
                 a_static = o.a_static || r.a_static;
               })
       rows
@@ -329,7 +322,6 @@ module Attr = struct
                 a_wall_s = r.a_wall_s -. o.a_wall_s;
                 a_sat_calls = r.a_sat_calls - o.a_sat_calls;
                 a_conflicts = r.a_conflicts - o.a_conflicts;
-                a_core_skips = r.a_core_skips - o.a_core_skips;
                 (* static only counts if set within the window — an
                    earlier run's static discharges must not leak into
                    this run's table *)
@@ -337,8 +329,8 @@ module Attr = struct
               }
         in
         if
-          d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_core_skips = 0
-          && d.a_wall_s = 0. && not d.a_static
+          d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_wall_s = 0.
+          && not d.a_static
         then None
         else Some d)
       rows

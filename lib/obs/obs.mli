@@ -103,15 +103,15 @@ val merge_histogram_samples : (string * float array) list -> unit
 
 (** {1 Cost attribution}
 
-    Per-candidate cost rows: wall time, SAT calls, conflicts and
-    unsat-core skip credits, billed to whatever key is in dynamic scope
-    when the SAT layer reports a solve.  Keys are {!Engine.Candidate}
-    keys; aggregate (multi-candidate) solver calls are billed to
-    ["(...)"]-bracketed bucket keys, which {!Attr.top} excludes.  Like
-    counters, the table is fork-aware: a worker {!reset}s, tags its
-    shard with {!Attr.set_shard}, and ships {!Attr.export} home through
-    its result pipe, where the coordinator {!Attr.merge}s it exactly
-    once — a killed worker's rows die with the worker. *)
+    Per-candidate cost rows: wall time, SAT calls and conflicts, billed
+    to whatever key is in dynamic scope when the SAT layer reports a
+    solve.  Keys are {!Engine.Candidate} keys; aggregate
+    (multi-candidate) solver calls are billed to ["(...)"]-bracketed
+    bucket keys, which {!Attr.top} excludes.  Like counters, the table
+    is fork-aware: a worker {!reset}s, tags its shard with
+    {!Attr.set_shard}, and ships {!Attr.export} home through its result
+    pipe, where the coordinator {!Attr.merge}s it exactly once — a
+    killed worker's rows die with the worker. *)
 
 module Attr : sig
   type row = {
@@ -120,7 +120,6 @@ module Attr : sig
     a_wall_s : float;     (** solver wall time billed to this key *)
     a_sat_calls : int;
     a_conflicts : int;
-    a_core_skips : int;   (** re-checks avoided by an unsat core *)
     a_static : bool;      (** discharged by the abstract-interpretation
                               tier without SAT *)
   }
@@ -135,9 +134,6 @@ module Attr : sig
   val charge_call : wall_s:float -> conflicts:int -> unit
   (** Bill one SAT call to the key in scope (no-op without one) — the
       call site is the solver's solve wrapper. *)
-
-  val credit_core_skip : string -> unit
-  (** Credit one avoided re-check to the given candidate key. *)
 
   val note_static : string -> unit
   (** Mark the key as discharged by the static tier. *)

@@ -193,10 +193,6 @@ let proved_ids t =
   List.filter_map
     (fun r ->
       match r.attribution with
-      | Some { I.verdict = I.V_proved _; _ }
-      | Some { I.verdict = I.V_cached Engine.Proof_cache.Proved; _ }
-      | Some { I.verdict = I.V_sieved { proved = true; _ }; _ }
-      | Some { I.verdict = I.V_static_proved; _ } ->
-          Some r.id
+      | Some a when I.verdict_proves a.I.verdict -> Some r.id
       | _ -> None)
     (records t)

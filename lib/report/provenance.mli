@@ -93,5 +93,5 @@ val unattributed_dead : t -> (int * Netlist.Cell.kind) list
 val designs : t -> designs option
 
 val proved_ids : t -> int list
-(** Ids of candidates whose final verdict is proved (fresh or cached),
-    ascending. *)
+(** Ids of candidates whose final verdict counts as a proof
+    ({!Engine.Induction.verdict_proves}), ascending. *)

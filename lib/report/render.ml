@@ -71,8 +71,6 @@ type summary = {
   s_dropped : int;
   s_cached_proved : int;
   s_cached_disproved : int;
-  s_sieved_proved : int;
-  s_sieved_dropped : int;
   s_static_proved : int;
   s_unresolved : int;
   s_with_cex : int;
@@ -91,8 +89,6 @@ let summarize records =
         s_dropped = 0;
         s_cached_proved = 0;
         s_cached_disproved = 0;
-        s_sieved_proved = 0;
-        s_sieved_dropped = 0;
         s_static_proved = 0;
         s_unresolved = 0;
         s_with_cex = 0;
@@ -126,16 +122,6 @@ let summarize records =
                 }
             | I.V_cached Engine.Proof_cache.Disproved ->
                 { t with s_cached_disproved = t.s_cached_disproved + 1 }
-            | I.V_sieved { proved = true; _ } ->
-                (* sieve-settled proofs count as proved: the rewiring
-                   stage may cite them like any other invariant *)
-                {
-                  t with
-                  s_proved = t.s_proved + 1;
-                  s_sieved_proved = t.s_sieved_proved + 1;
-                }
-            | I.V_sieved { proved = false; _ } ->
-                { t with s_sieved_dropped = t.s_sieved_dropped + 1 }
             | I.V_static_proved ->
                 (* statically discharged candidates are proofs: the
                    rewiring stage may cite them like any other invariant *)
@@ -246,7 +232,6 @@ let cand_json prov (r : P.cand_record) =
                 | Some c -> [ ("cex_frames", string_of_int (Engine.Cex.length c)) ]
                 | None -> [])
           | I.V_dropped reason -> [ ("reason", jstr reason) ]
-          | I.V_sieved { rep; _ } -> [ ("rep", jstr (Engine.Candidate.key rep)) ]
           | I.V_sim_killed | I.V_not_inductive | I.V_cached _
           | I.V_static_proved ->
               [])
@@ -289,7 +274,6 @@ let attr_row_json (r : Obs.Attr.row) =
       ("shard", jopt_int r.Obs.Attr.a_shard);
       ("sat_calls", string_of_int r.Obs.Attr.a_sat_calls);
       ("conflicts", string_of_int r.Obs.Attr.a_conflicts);
-      ("core_skips", string_of_int r.Obs.Attr.a_core_skips);
       ("static", string_of_bool r.Obs.Attr.a_static);
     ]
 
@@ -585,17 +569,16 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
   | Some (st : I.stats) ->
       if st.I.top_costs <> [] then begin
         pr "\n## Most expensive candidates\n\n";
-        pr "| candidate | shard | SAT calls | conflicts | core skips | \
-            wall (s) | static |\n";
-        pr "|---|---|---|---|---|---|---|\n";
+        pr "| candidate | shard | SAT calls | conflicts | wall (s) | \
+            static |\n";
+        pr "|---|---|---|---|---|---|\n";
         List.iter
           (fun (r : Obs.Attr.row) ->
-            pr "| `%s` | %s | %d | %d | %d | %.4f | %s |\n" r.Obs.Attr.a_key
+            pr "| `%s` | %s | %d | %d | %.4f | %s |\n" r.Obs.Attr.a_key
               (match r.Obs.Attr.a_shard with
               | Some i -> string_of_int i
               | None -> "—")
-              r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts
-              r.Obs.Attr.a_core_skips r.Obs.Attr.a_wall_s
+              r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s
               (if r.Obs.Attr.a_static then "yes" else ""))
           st.I.top_costs
       end;

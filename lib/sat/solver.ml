@@ -61,7 +61,6 @@ type t = {
   mutable n_clauses : int;
   mutable n_learnts : int;
   mutable max_learnts : float;
-  mutable failed : int list;
   mutable rng : Random.State.t;
   guarded : (int, clause list) Hashtbl.t;
       (* selector var -> problem clauses retired together with it *)
@@ -100,7 +99,6 @@ let create () =
     n_clauses = 0;
     n_learnts = 0;
     max_learnts = 8192.0;
-    failed = [];
     rng = Random.State.make [| 91648253 |];
     guarded = Hashtbl.create 64;
     n_dead = 0;
@@ -561,38 +559,11 @@ let pick_branch_var s =
   in
   go ()
 
-(* Collect the assumption decisions that a falsified literal rests on. *)
-let analyze_final s seed_lit =
-  s.failed <- [];
-  let marked = ref [ seed_lit lsr 1 ] in
-  s.seen.(seed_lit lsr 1) <- true;
-  for i = s.trail_len - 1 downto 0 do
-    let l = s.trail.(i) in
-    let v = l lsr 1 in
-    if s.seen.(v) then
-      match s.reason.(v) with
-      | None -> if s.level.(v) > 0 then s.failed <- l :: s.failed
-      | Some c ->
-          Array.iter
-            (fun q ->
-              let vq = q lsr 1 in
-              if (not s.seen.(vq)) && s.level.(vq) > 0 then begin
-                s.seen.(vq) <- true;
-                marked := vq :: !marked
-              end)
-            c.lits
-  done;
-  List.iter (fun v -> s.seen.(v) <- false) !marked
-
 let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
   let deadline = match deadline with Some t -> t | None -> infinity in
   if not s.ok then Unsat
-  else if deadline < infinity && Obs.Clock.now_s () >= deadline then begin
-    s.failed <- [];
-    Unknown
-  end
+  else if deadline < infinity && Obs.Clock.now_s () >= deadline then Unknown
   else begin
-    s.failed <- [];
     let budget_start = s.conflicts in
     let assumptions = Array.of_list assumptions in
     let n_assumps = Array.length assumptions in
@@ -642,8 +613,6 @@ let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
             match lit_val s a with
             | 1 -> new_decision_level s
             | 0 ->
-                analyze_final s a;
-                s.failed <- a :: s.failed;
                 result := Unsat;
                 finished := true
             | _ ->
@@ -732,4 +701,3 @@ let value s v = s.model.(v) = 1
 let lit_value s l =
   if Lit.sign l then value s (Lit.var l) else not (value s (Lit.var l))
 
-let failed_assumptions s = s.failed

@@ -48,9 +48,7 @@ val new_selector : t -> Lit.t
     groups.  Clauses added under it with {!add_guarded} hold only in
     [solve] calls that assume the selector true; the whole group is
     permanently removed with {!retire}.  A selector is an ordinary
-    variable — it may appear in assumptions and shows up in
-    {!failed_assumptions} like any other assumption literal, which is
-    how the proof engine maps unsat cores back to candidates. *)
+    variable and may appear in assumptions like any other literal. *)
 
 val add_guarded : t -> guard:Lit.t -> Lit.t list -> unit
 (** [add_guarded s ~guard lits] adds the clause [¬guard ∨ lits] and
@@ -73,10 +71,6 @@ val value : t -> int -> bool
     Unconstrained variables read as [false]. *)
 
 val lit_value : t -> Lit.t -> bool
-
-val failed_assumptions : t -> Lit.t list
-(** After [Unsat] under assumptions: a subset of the assumptions
-    sufficient for unsatisfiability (not minimized). *)
 
 val num_conflicts : t -> int
 (** Total conflicts across all [solve] calls, for budget accounting. *)

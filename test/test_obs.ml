@@ -519,7 +519,6 @@ let test_attr_billing () =
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.5 ~conflicts:3;
       Obs.Attr.charge_call ~wall_s:0.25 ~conflicts:1);
-  Obs.Attr.credit_core_skip "C1:0";
   Obs.Attr.note_static "C2:0";
   (match Obs.Attr.export () with
   | [ r1; r2 ] ->
@@ -527,7 +526,6 @@ let test_attr_billing () =
         (r1.Obs.Attr.a_key = "C1:0" && r2.Obs.Attr.a_key = "C2:0");
       check_int "calls accumulated" 2 r1.Obs.Attr.a_sat_calls;
       check_int "conflicts accumulated" 4 r1.Obs.Attr.a_conflicts;
-      check_int "core skip credited" 1 r1.Obs.Attr.a_core_skips;
       Alcotest.(check (float 1e-9)) "wall accumulated" 0.75 r1.Obs.Attr.a_wall_s;
       check "static flag set" true r2.Obs.Attr.a_static;
       check_int "static row has no SAT calls" 0 r2.Obs.Attr.a_sat_calls
@@ -585,7 +583,6 @@ let test_attr_merge () =
       a_wall_s = 0.1;
       a_sat_calls = 1;
       a_conflicts = conflicts;
-      a_core_skips = 0;
       a_static = false;
     }
   in
@@ -634,7 +631,6 @@ let attr_sig (st : Engine.Induction.stats) =
         r.Obs.Attr.a_shard,
         r.Obs.Attr.a_sat_calls,
         r.Obs.Attr.a_conflicts,
-        r.Obs.Attr.a_core_skips,
         r.Obs.Attr.a_static ))
     st.Engine.Induction.top_costs
 
@@ -653,7 +649,7 @@ let test_attr_chaos_merge_once () =
   in
   check "refuted candidates produced cost rows" true (clean_sig <> []);
   check "parallel rows carry their shard tag" true
-    (List.exists (fun (_, s, _, _, _, _) -> s <> None) clean_sig);
+    (List.exists (fun (_, s, _, _, _) -> s <> None) clean_sig);
   (* same run with every worker's first attempt SIGKILLed: the killed
      attempt's partial rows and samples die with the worker, the retry
      ships them once, so the merged table and the histogram are

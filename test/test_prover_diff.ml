@@ -60,9 +60,8 @@ let test_differential () =
     in
     let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
     (* the incremental prover (persistent solvers, selector-guarded
-       clauses, unsat-core skips) against the snapshot/restore oracle:
-       both run to completion, so the greatest-fixpoint sets must be
-       byte-identical *)
+       clauses) against the snapshot/restore oracle: both run to
+       completion, so the greatest-fixpoint sets must be byte-identical *)
     let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
     if not (same_set serial snap) then
       Alcotest.failf
@@ -135,32 +134,52 @@ let test_differential () =
            "seed %d: snapshot oracle refuted %d of %d absint facts" seed
            (List.length facts - List.length pf)
            (List.length facts)
-     end);
-    (* the sieve transfers verdicts across pointwise-equivalent
-       candidates: its expanded proved set must be byte-identical to a
-       sieve-off run, serial and parallel alike *)
-    List.iter
-      (fun jobs ->
-        let sieved, sst =
-          Engine.Induction.prove_parallel ~jobs ~sieve:true ~assume:D.net_true
-            d cands
-        in
-        if not (same_set serial sieved) then
-          Alcotest.failf
-            "seed %d jobs %d: sieve-on proved %d, sieve-off proved %d \
-             (different sets)"
-            seed jobs (List.length sieved) (List.length serial);
-        if sst.Engine.Induction.sieve_classes > 0 then
-          check
-            (Printf.sprintf "seed %d jobs %d: sieve accounting consistent"
-               seed jobs)
-            true
-            (sst.Engine.Induction.n_sieved
-            = List.length cands - sst.Engine.Induction.sieve_classes))
-      [ 1; 2 ]
+     end)
   done;
   (* the harness must actually exercise non-trivial proofs *)
   check "some seeds proved something" true (!nonempty > 10)
+
+(* --- the per-candidate step loop, under a starved call budget ---------- *)
+
+(* At the default budget every aggregate call is conclusive, so the
+   per-candidate loop never runs on the matrix above ([sat_calls =
+   rounds] on every seed).  Three conflicts per call makes aggregates
+   inconclusive and forces it.  A re-check that runs out of budget
+   drops its candidate, so the proved set may be smaller than the
+   oracle's, never larger, and it must stay sound. *)
+let test_starved_budget () =
+  let options =
+    { Engine.Induction.default_options with
+      Engine.Induction.call_conflict_budget = 3 }
+  in
+  let looped = ref 0 in
+  for seed = 1 to 50 do
+    let d = Netlist.Generate.random ~seed ~config:gen_config () in
+    let cands =
+      Engine.Rsim.mine ~config:mine_config d Engine.Stimulus.unconstrained
+    in
+    let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
+    let proved, st =
+      Engine.Induction.prove ~options ~assume:D.net_true d cands
+    in
+    if st.Engine.Induction.sat_calls > st.Engine.Induction.rounds then
+      incr looped;
+    if not (List.for_all (fun c -> List.mem c snap) proved) then
+      Alcotest.failf
+        "seed %d: budget-3 run proved a candidate the snapshot oracle did \
+         not" seed;
+    (* every survivor passed its last check assuming only the final
+       proved set, so that set must be inductive on its own *)
+    let self, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d proved in
+    if not (same_set self proved) then
+      Alcotest.failf "seed %d: budget-3 proved set is not inductive on its own"
+        seed;
+    check
+      (Printf.sprintf "seed %d: budget-3 proved set survives simulation" seed)
+      true
+      (survives_sim d D.net_true proved ~cycles:1000)
+  done;
+  check "per-candidate checks ran on at least 10 seeds" true (!looped >= 10)
 
 (* --- crash isolation ---------------------------------------------------- *)
 
@@ -280,7 +299,6 @@ let test_chaos_attribution_identity () =
           r.Obs.Attr.a_shard,
           r.Obs.Attr.a_sat_calls,
           r.Obs.Attr.a_conflicts,
-          r.Obs.Attr.a_core_skips,
           r.Obs.Attr.a_static ))
       st.Engine.Induction.top_costs
   in
@@ -548,65 +566,6 @@ let test_shard_checkpoint_resume () =
   check_int "no worker forked" 0 (List.length st2.Engine.Induction.worker_times);
   check "resumed run matches serial" true (same_set serial par2)
 
-(* --- the sieve under crashes and resume -------------------------------- *)
-
-(* [twin_design]'s two dead-zero constants sit on different nets of
-   disjoint blocks, so only the sieve's SAT confirmation can merge
-   them — exactly the path that must stay sound across worker kills *)
-let test_sieve_chaos_kill () =
-  let d, cands = twin_design () in
-  let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
-  let par, st =
-    with_env_var "PDAT_CHAOS" "worker-kill" (fun () ->
-        Engine.Induction.prove_parallel ~jobs:2 ~sieve:true ~assume:D.net_true
-          d cands)
-  in
-  Engine.Chaos.reset ();
-  check "sieve merged at least one pair" true
-    (st.Engine.Induction.n_sieved >= 1);
-  check "every first attempt killed" true
-    (st.Engine.Induction.workers_failed >= 1);
-  check "sieved + killed run still matches serial" true (same_set serial par);
-  check "result still sound" true (survives_sim d D.net_true par ~cycles:500)
-
-let test_sieve_checkpoint_resume () =
-  let d, cands = twin_design () in
-  let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
-  (* run 1, sieve on, checkpoints its (representative-set) shards *)
-  let checkpoints = ref [] in
-  let par, st =
-    Engine.Induction.prove_parallel ~jobs:2 ~sieve:true
-      ~checkpoint:(fun fp proved -> checkpoints := (fp, proved) :: !checkpoints)
-      ~assume:D.net_true d cands
-  in
-  check "sieved run matches serial" true (same_set serial par);
-  check "sieve merged at least one pair" true
-    (st.Engine.Induction.n_sieved >= 1);
-  check "shards were checkpointed" true (!checkpoints <> []);
-  (* run 2, same sieve setting: fingerprints are computed over the same
-     representative sets, so every shard resumes without a worker and
-     verdict expansion still lands on the serial set *)
-  let par2, st2 =
-    Engine.Induction.prove_parallel ~jobs:2 ~sieve:true
-      ~recovered:!checkpoints ~assume:D.net_true d cands
-  in
-  check_int "all shards resumed from checkpoints"
-    (List.length !checkpoints)
-    st2.Engine.Induction.resumed_shards;
-  check_int "no worker forked" 0
-    (List.length st2.Engine.Induction.worker_times);
-  check "resumed sieved run matches serial" true (same_set serial par2);
-  (* a sieve-off run handed sieve-on checkpoints: fingerprints are
-     content digests, so only a shard whose candidate set happens to be
-     byte-identical may resume — either way the result is the serial
-     set (a matching fingerprint means the identical proof obligation) *)
-  let par3, _ =
-    Engine.Induction.prove_parallel ~jobs:2 ~recovered:!checkpoints
-      ~assume:D.net_true d cands
-  in
-  check "sieve-off run with sieve-on checkpoints matches serial" true
-    (same_set serial par3)
-
 (* --- the chaos matrix: crash-safety end-to-end ------------------------- *)
 
 (* Like [twin_design], but sized so pipeline mining reliably finds the
@@ -745,9 +704,11 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case
-            "incremental == snapshot == parallel == sieved, 50 netlists"
+          Alcotest.test_case "incremental == snapshot == parallel, 50 netlists"
             `Slow test_differential;
+          Alcotest.test_case
+            "budget-3 step loop: subset of the oracle, sound, 50 netlists"
+            `Slow test_starved_budget;
           Alcotest.test_case "killed worker is retried, nothing lost"
             `Quick test_crash_retry;
           Alcotest.test_case "exhausted retries fall back to serial"
@@ -758,10 +719,6 @@ let () =
             test_chaos_attribution_identity;
           Alcotest.test_case "checkpointed shards resume without workers"
             `Quick test_shard_checkpoint_resume;
-          Alcotest.test_case "sieve + chaos worker kills still match serial"
-            `Quick test_sieve_chaos_kill;
-          Alcotest.test_case "sieve-on checkpoints resume sieve-on runs"
-            `Quick test_sieve_checkpoint_resume;
         ] );
       ( "cache",
         [

@@ -84,8 +84,6 @@ let test_assumptions () =
   (* assuming 1 forces 3 which is forbidden *)
   check_result "unsat under assumption" true
     (is_unsat (Sat.Solver.solve ~assumptions:[ lit 1 ] s));
-  check_result "failed assumptions mention 1" true
-    (List.mem (lit 1) (Sat.Solver.failed_assumptions s));
   (* solver still usable, and satisfiable without the assumption *)
   check_result "sat without assumption" true (is_sat (Sat.Solver.solve s));
   check_result "v1 must be false" false (Sat.Solver.value s 0)
@@ -284,51 +282,6 @@ let guarded_pigeonhole n =
   done;
   (s, Array.to_list sels)
 
-let test_failed_assumptions_subset () =
-  (* randomized: the reported core must be a subset of the assumptions
-     that is itself sufficient for unsatisfiability — re-solving under
-     the core alone must still be Unsat *)
-  let unsat_cases = ref 0 in
-  for seed = 1 to 40 do
-    let rng = Random.State.make [| seed |] in
-    let n_vars = 8 and n_assum = 5 in
-    let s = mk (n_vars + n_assum) in
-    for _ = 1 to 42 do
-      let rl () =
-        let v = 1 + Random.State.int rng n_vars in
-        if Random.State.bool rng then lit v else lit (-v)
-      in
-      let g = lit (n_vars + 1 + Random.State.int rng n_assum) in
-      Sat.Solver.add_clause s [ Sat.Lit.negate g; rl (); rl (); rl () ]
-    done;
-    let assums = List.init n_assum (fun i -> lit (n_vars + 1 + i)) in
-    match Sat.Solver.solve ~assumptions:assums s with
-    | Sat.Solver.Sat | Sat.Solver.Unknown -> ()
-    | Sat.Solver.Unsat ->
-        incr unsat_cases;
-        let core = Sat.Solver.failed_assumptions s in
-        check_result "core is a subset of the assumptions" true
-          (List.for_all (fun l -> List.mem l assums) core);
-        check_result "core alone is still unsat" true
-          (is_unsat (Sat.Solver.solve ~assumptions:core s));
-        (* and the solver is still correct without any assumption *)
-        check_result "sat with the guards off" true
-          (is_sat (Sat.Solver.solve s))
-  done;
-  check_result "harness exercised unsat cores" true (!unsat_cases > 5);
-  (* structured instance where the minimal core is ALL assumptions: a
-     genuinely-sufficient subset cannot drop a single one *)
-  let s, sels = guarded_pigeonhole 4 in
-  check_result "guarded php(4) unsat under all selectors" true
-    (is_unsat (Sat.Solver.solve ~assumptions:sels s));
-  let core = Sat.Solver.failed_assumptions s in
-  check_result "core is a subset" true
-    (List.for_all (fun l -> List.mem l sels) core);
-  check_result "core re-solves to unsat" true
-    (is_unsat (Sat.Solver.solve ~assumptions:core s));
-  check_result "php core names every pigeon" true
-    (List.length core = List.length sels)
-
 let test_usable_after_assumption_unsat () =
   let s = mk 2 in
   Sat.Solver.add_clause s [ lit 1; lit 2 ];
@@ -372,8 +325,6 @@ let test_selector_guard_and_retire () =
   (* ...and bite under it *)
   check_result "unsat under the guard" true
     (is_unsat (Sat.Solver.solve ~assumptions:[ g ] s));
-  check_result "the guard is the core" true
-    (List.mem g (Sat.Solver.failed_assumptions s));
   let before = Sat.Solver.num_clauses s in
   Sat.Solver.retire s g;
   check_result "guarded clauses physically deleted" true
@@ -437,8 +388,6 @@ let () =
         ] );
       ( "incremental-api",
         [
-          Alcotest.test_case "failed assumptions are a sufficient core"
-            `Quick test_failed_assumptions_subset;
           Alcotest.test_case "usable after assumption unsat and timeouts"
             `Quick test_usable_after_assumption_unsat;
           Alcotest.test_case "learned clauses persist across solves" `Quick
