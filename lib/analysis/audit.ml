@@ -5,6 +5,15 @@ let err rule loc msg = Diag.make ~rule ~severity:Diag.Error ~loc msg
 
 let rail b = if b then D.net_true else D.net_false
 
+(* Membership under [Candidate.equal], so a justification matches a
+   proved candidate only if every field agrees. *)
+module Cand_tbl = Hashtbl.Make (struct
+  type t = Engine.Candidate.t
+
+  let equal = Engine.Candidate.equal
+  let hash = Hashtbl.hash
+end)
+
 (* (1) Every edit must cite a proved invariant that really supports it. *)
 let check_edits ?prov_id original proved (cert : Certificate.t) =
   let diags = ref [] in
@@ -17,6 +26,8 @@ let check_edits ?prov_id original proved (cert : Certificate.t) =
         | Some id -> Printf.sprintf " (inv#%d)" id
         | None -> " (no provenance record)")
   in
+  let proved_set = Cand_tbl.create (List.length proved) in
+  List.iter (fun c -> Cand_tbl.replace proved_set c ()) proved;
   let seen_nets = Hashtbl.create 16 in
   List.iter
     (fun (e : Certificate.edit) ->
@@ -24,7 +35,7 @@ let check_edits ?prov_id original proved (cert : Certificate.t) =
       if Hashtbl.mem seen_nets e.net then
         emit "cert-mismatch" loc "duplicate edit for this net";
       Hashtbl.replace seen_nets e.net ();
-      if not (List.exists (Engine.Candidate.equal e.justification) proved) then
+      if not (Cand_tbl.mem proved_set e.justification) then
         emit "cert-unjustified" loc
           (Fmt.str "justification %a%s is not in the proved invariant set"
              (Engine.Candidate.pp original) e.justification
@@ -163,19 +174,27 @@ let diff_designs expected rewired =
              e.D.out)
   end
 
-(* (3) Rewiring must not create new Error-severity structural findings. *)
+(* (3) Rewiring must not create new Error-severity structural findings.
+   Only the rules that can emit an Error run: a key carries its rule id,
+   so a Warning rule's findings could never be reported here. *)
+let error_rules =
+  List.filter
+    (fun (r : Lint.rule) -> r.Lint.severity = Diag.Error)
+    Lint.structural_rules
+
 let lint_regression ?pre_lint original rewired =
   let pre =
     match pre_lint with
     | Some l -> l
-    | None -> Lint.run ~rules:Lint.structural_rules original
+    | None -> Lint.run ~rules:error_rules original
   in
-  let post = Lint.run ~rules:Lint.structural_rules rewired in
+  let post = Lint.run ~rules:error_rules rewired in
   let key (d : Diag.t) = (d.Diag.rule, d.Diag.loc) in
-  let pre_keys = List.map key pre in
+  let pre_keys = Hashtbl.create (List.length pre) in
+  List.iter (fun d -> Hashtbl.replace pre_keys (key d) ()) pre;
   List.filter_map
     (fun (d : Diag.t) ->
-      if d.Diag.severity = Diag.Error && not (List.mem (key d) pre_keys) then
+      if d.Diag.severity = Diag.Error && not (Hashtbl.mem pre_keys (key d)) then
         Some
           {
             d with

@@ -5,11 +5,21 @@ type gate = Off | Warn | Strict
 
 let gate_name = function Off -> "off" | Warn -> "warn" | Strict -> "strict"
 
+(* What every rule of one [run] reads; built by [context] below.  A
+   [Design.t] is mutable, so nothing here outlives the call that built
+   it. *)
+type ctx = {
+  d : D.t;
+  drivers : int list array;
+  is_pi : bool array;
+  absint : Engine.Absint.t option Lazy.t;
+}
+
 type rule = {
   id : string;
   severity : Diag.severity;
   doc : string;
-  check : D.t -> Diag.t list;
+  check : ctx -> Diag.t list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -52,9 +62,9 @@ let well_formed d =
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
-(* Shared per-rule scaffolding.  Driver lists are recomputed from the
-   cell list rather than trusted from the store's driver index, so the
-   rules stay honest on netlists built with [unsafe_add_cell_out]. *)
+(* The per-call context.  Driver lists are recomputed from the cell
+   list rather than trusted from the store's driver index, so the rules
+   stay honest on netlists built with [unsafe_add_cell_out]. *)
 
 let drivers_of d =
   let a = Array.make (max 1 (D.num_nets d)) [] in
@@ -66,11 +76,25 @@ let pi_mask d =
   List.iter (fun (_, n) -> a.(n) <- true) (D.inputs d);
   a
 
+(* The abstract interpreter schedules the design, so a cyclic or
+   otherwise degenerate netlist must not reach it — those shapes are
+   already reported by the Error-severity rules.  Forced only by the
+   dataflow rules, so a structural-only run never pays for it. *)
+let absint_of d =
+  match
+    Engine.Absint.run d ~classify:(fun _ -> Engine.Ternary.Free)
+      ~assume:Netlist.Design.net_true
+  with
+  | exception _ -> None
+  | ai -> Some ai
+
+let context d =
+  { d; drivers = drivers_of d; is_pi = pi_mask d; absint = lazy (absint_of d) }
+
 (* ------------------------------------------------------------------ *)
 (* Rules. *)
 
-let check_multi_driven d =
-  let drivers = drivers_of d and is_pi = pi_mask d in
+let check_multi_driven { d; drivers; is_pi; _ } =
   let diags = ref [] in
   for n = 0 to D.num_nets d - 1 do
     let cells = drivers.(n) in
@@ -93,8 +117,7 @@ let check_multi_driven d =
   done;
   List.rev !diags
 
-let check_undriven_inputs d =
-  let drivers = drivers_of d and is_pi = pi_mask d in
+let check_undriven_inputs { d; drivers; is_pi; _ } =
   let diags = ref [] in
   D.iter_cells d (fun ci c ->
       Array.iteri
@@ -110,8 +133,7 @@ let check_undriven_inputs d =
         c.D.ins);
   List.rev !diags
 
-let check_undriven_outputs d =
-  let drivers = drivers_of d and is_pi = pi_mask d in
+let check_undriven_outputs { d; drivers; is_pi; _ } =
   List.filter_map
     (fun (nm, n) ->
       if drivers.(n) = [] && not is_pi.(n) then
@@ -123,8 +145,7 @@ let check_undriven_outputs d =
       else None)
     (D.outputs d)
 
-let check_comb_cycles d =
-  let drivers = drivers_of d in
+let check_comb_cycles { d; drivers; _ } =
   let n_cells = D.num_cells d in
   let color = Array.make (max 1 n_cells) 0 in
   let diags = ref [] in
@@ -172,8 +193,7 @@ let check_comb_cycles d =
   done;
   List.rev !diags
 
-let check_unreachable_cells d =
-  let drivers = drivers_of d in
+let check_unreachable_cells { d; drivers; _ } =
   let cell_live = Array.make (max 1 (D.num_cells d)) false in
   let net_seen = Array.make (max 1 (D.num_nets d)) false in
   let stack = ref [] in
@@ -210,7 +230,7 @@ let check_unreachable_cells d =
           :: !diags);
   List.rev !diags
 
-let check_const_feedback_regs d =
+let check_const_feedback_regs { d; _ } =
   let diags = ref [] in
   D.iter_cells d (fun ci c ->
       if c.D.kind = C.Dff then begin
@@ -244,7 +264,7 @@ let parse_indexed nm =
       | _ -> None)
   | _ -> None
 
-let check_bus_groups d =
+let check_bus_groups { d; _ } =
   let check_side side ports =
     (* Group the side's ports by bus base, keeping first-seen order so
        diagnostics are deterministic. *)
@@ -309,19 +329,8 @@ let check_bus_groups d =
   in
   check_side "input" (D.inputs d) @ check_side "output" (D.outputs d)
 
-(* The abstract interpreter schedules the design, so a cyclic or
-   otherwise degenerate netlist must not reach it — those shapes are
-   already reported by the Error-severity rules. *)
-let absint_of d =
-  match
-    Engine.Absint.run d ~classify:(fun _ -> Engine.Ternary.Free)
-      ~assume:Netlist.Design.net_true
-  with
-  | exception _ -> None
-  | ai -> Some ai
-
-let check_ternary_consts d =
-  match absint_of d with
+let check_ternary_consts { d; absint; _ } =
+  match Lazy.force absint with
   | None -> []
   | Some ai ->
       List.filter_map
@@ -337,8 +346,8 @@ let check_ternary_consts d =
           | _ -> None)
         (Engine.Absint.constants ai)
 
-let check_stuck_regs d =
-  match absint_of d with
+let check_stuck_regs { d; absint; _ } =
+  match Lazy.force absint with
   | None -> []
   | Some ai ->
       List.map
@@ -351,8 +360,8 @@ let check_stuck_regs d =
                (if b then 1 else 0)))
         (Engine.Absint.stuck_registers ai)
 
-let check_dead_writes d =
-  match absint_of d with
+let check_dead_writes { d; absint; _ } =
+  match Lazy.force absint with
   | None -> []
   | Some ai ->
       List.map
@@ -437,5 +446,7 @@ let all_rules =
 
 let run ?(rules = all_rules) d =
   match well_formed d with
-  | [] -> List.concat_map (fun r -> r.check d) rules
+  | [] ->
+      let cx = context d in
+      List.concat_map (fun r -> r.check cx) rules
   | diags -> diags

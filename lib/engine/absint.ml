@@ -118,6 +118,7 @@ let condition d sched (v : int array) constraints =
   done
 
 let run ?(classify = fun _ -> Ternary.Free) ?max_iterations ~assume d =
+  Obs.add_int "absint.runs" 1;
   let sched = Netlist.Topo.schedule d in
   let n_nets = D.num_nets d in
   let flops = sched.Netlist.Topo.flops in

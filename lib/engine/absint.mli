@@ -54,7 +54,8 @@ val run :
   t
 (** Run the interpreter to its fixpoint.  [classify] defaults to every
     primary input [Free]; environment structure is normally conveyed
-    through [assume] (the monitor's output net) instead.
+    through [assume] (the monitor's output net) instead.  Every call
+    adds 1 to the always-on {!Obs} counter [absint.runs].
     @raise Netlist.Topo.Combinational_cycle on cyclic designs.
     @raise Failure if the fixpoint does not converge within
     [max_iterations] (impossible at the default bound). *)

@@ -263,6 +263,72 @@ let test_well_formed_out_of_range () =
     (fun h -> check "error severity" true (h.Diag.severity = Diag.Error))
     ds
 
+(* --- lint: the per-call context ------------------------------------------ *)
+
+(* from the test directory under [dune runtest], or from the root *)
+let example_netlists () =
+  let dir =
+    List.find Sys.file_exists [ "../examples/netlists"; "examples/netlists" ]
+  in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".v")
+  |> List.map (fun f -> (f, Netlist.Verilog.read_file (Filename.concat dir f)))
+
+let random_designs () =
+  List.map
+    (fun seed ->
+      (Printf.sprintf "random seed %d" seed, Netlist.Generate.random ~seed ()))
+    [ 1; 2; 3; 5; 8 ]
+
+(* Sharing one context must not change what any rule reports: the full
+   run is the rule-by-rule runs, each on its own fresh context. *)
+let test_lint_shared_context_is_per_rule_union () =
+  let examples = example_netlists () in
+  check "the example netlists were found" true (examples <> []);
+  let total = ref 0 in
+  List.iter
+    (fun (label, d) ->
+      let all = Lint.run d in
+      total := !total + List.length all;
+      let one_by_one =
+        List.concat_map (fun r -> Lint.run ~rules:[ r ] d) Lint.all_rules
+      in
+      check (label ^ ": full run = concatenation of single-rule runs") true
+        (all = one_by_one))
+    (examples @ random_designs ());
+  check "some design has findings to compare" true (!total > 0)
+
+let test_lint_context_is_per_call () =
+  (* two different designs back to back: each gets its own findings *)
+  let d1 = D.create "t1" in
+  let a = D.add_input d1 "a" in
+  let r = D.add_dff d1 ~d:D.net_false () in
+  D.add_output d1 "y" (D.add_cell d1 C.And2 [| a; r |]);
+  let d2 = clean_design () in
+  let l1 = Lint.run d1 in
+  let l2 = Lint.run d2 in
+  check "the first design has dataflow findings" true
+    (has_rule "ternary-const" l1);
+  check "the second design is clean after the first" true (l2 = []);
+  check "the first design again, after the second" true (Lint.run d1 = l1);
+  (* a design is mutable: linting it again right after an edit sees
+     the edit *)
+  check "the second design is still clean" true (Lint.run d2 = []);
+  let req = List.assoc "req" (D.inputs d2) in
+  let x = D.add_cell d2 C.Inv [| req |] in
+  D.add_output d2 "x" x;
+  D.unsafe_add_cell_out d2 C.Buf [| req |] ~out:x;
+  check "the mutated design shows its new driver" true
+    (has_rule "multi-driven" (Lint.run d2))
+
+(* How often [f] ran the abstract interpreter. *)
+let absint_runs f =
+  let since = Obs.counters () in
+  ignore (f ());
+  match List.assoc_opt "absint.runs" (Obs.counters_delta ~since) with
+  | Some v -> int_of_float v
+  | None -> 0
+
 (* --- seeded structural faults: the lint gate acceptance test ----------- *)
 
 let seed_target () =
@@ -494,6 +560,85 @@ let test_audit_empty_certificate () =
     (audit ~original:d ~rewired:(D.copy d) ~proved:[] Cert.empty = []);
   check_int "empty certificate has no edits" 0 (Cert.length Cert.empty)
 
+let test_audit_rejects_implies_on_another_cell () =
+  let d = D.create "imp" in
+  let a = D.add_input d "a" in
+  let b = D.add_cell d C.Buf [| a |] in
+  let y = D.add_cell d C.And2 [| a; b |] in
+  let q = D.add_dff d ~d:y () in
+  D.add_output d "q" q;
+  let cell = Option.get (D.driver d y) in
+  let proved = [ Engine.Candidate.Implies { cell; a; b } ] in
+  let rewired, cert = Pdat.Rewire.apply_certified d proved in
+  (* same a and b as the proved implication, but cited on the Buf cell *)
+  let other = Option.get (D.driver d b) in
+  let corrupt =
+    {
+      Cert.edits =
+        List.map
+          (fun (e : Cert.edit) ->
+            {
+              e with
+              Cert.justification =
+                Engine.Candidate.Implies { cell = other; a; b };
+            })
+          cert.Cert.edits;
+    }
+  in
+  let ds = audit ~original:d ~rewired ~proved corrupt in
+  check_int "the edit's justification is unproved" 1
+    (List.length (with_rule "cert-unjustified" ds))
+
+(* [const_design] plus an undriven output, an Error before any
+   rewiring, and a rewired copy that gains a second driver on [na]
+   behind the certificate's back. *)
+let lint_regression_fixture () =
+  let d = D.create "lr" in
+  let a = D.add_input d "a" in
+  let na = D.add_cell d C.Inv [| a |] in
+  let z = D.add_cell d C.And2 [| a; na |] in
+  let q = D.add_dff d ~d:z () in
+  D.add_output d "q" q;
+  D.add_output d "floating" (D.new_net d);
+  let proved = [ Engine.Candidate.Const (z, false) ] in
+  let rewired, cert = Pdat.Rewire.apply_certified d proved in
+  let bad = D.copy rewired in
+  D.unsafe_add_cell_out bad C.Buf [| a |] ~out:na;
+  (d, bad, proved, cert)
+
+let test_audit_lint_regression () =
+  let d, bad, proved, cert = lint_regression_fixture () in
+  check "the original already has an undriven output" true
+    (has_rule "undriven-output" (Diag.errors (Lint.run d)));
+  List.iter
+    (fun (label, pre_lint) ->
+      let ds = audit ?pre_lint ~original:d ~rewired:bad ~proved cert in
+      let hits = with_rule "lint-regression" ds in
+      check_int (label ^ ": one lint regression") 1 (List.length hits);
+      let hit = List.hd hits in
+      check (label ^ ": the message names the underlying rule") true
+        (contains ~sub:"multi-driven: " hit.Diag.message);
+      check (label ^ ": the pre-existing error is not reported again") true
+        (not
+           (List.exists
+              (fun h -> contains ~sub:"undriven-output" h.Diag.message)
+              hits)))
+    [ ("computed", None); ("given", Some (Lint.run d)) ]
+
+let test_absint_runs_counted () =
+  let d, z, _q = const_design () in
+  check_int "one fixpoint for a full lint run" 1
+    (absint_runs (fun () -> Lint.run d));
+  check_int "none for the structural rules" 0
+    (absint_runs (fun () -> Lint.run ~rules:Lint.structural_rules d));
+  let proved = [ Engine.Candidate.Const (z, false) ] in
+  let rewired, cert = Pdat.Rewire.apply_certified d proved in
+  check_int "none for the audit" 0
+    (absint_runs (fun () -> audit ~original:d ~rewired ~proved cert));
+  let pre_lint = Lint.run d in
+  check_int "none for the audit given the input lint" 0
+    (absint_runs (fun () -> audit ~pre_lint ~original:d ~rewired ~proved cert))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -521,6 +666,12 @@ let () =
             test_lint_ternary_consts;
           Alcotest.test_case "net-out-of-range stops the run" `Quick
             test_well_formed_out_of_range;
+          Alcotest.test_case "shared context = rule-by-rule runs" `Quick
+            test_lint_shared_context_is_per_rule_union;
+          Alcotest.test_case "context is per call" `Quick
+            test_lint_context_is_per_call;
+          Alcotest.test_case "one absint fixpoint per run" `Quick
+            test_absint_runs_counted;
         ] );
       ( "seeded faults",
         [
@@ -547,5 +698,9 @@ let () =
             test_audit_rejects_miswired_netlist;
           Alcotest.test_case "empty certificate" `Quick
             test_audit_empty_certificate;
+          Alcotest.test_case "implication cited on the wrong cell rejected"
+            `Quick test_audit_rejects_implies_on_another_cell;
+          Alcotest.test_case "lint regression reported once" `Quick
+            test_audit_lint_regression;
         ] );
     ]
