@@ -80,10 +80,19 @@ let default_absint () =
 
 (* Budgeted stages and their relative weights.  The validate entry only
    participates when validation is on, so with it off the proof stage's
-   share grows instead of being silently forfeited. *)
+   share grows instead of being silently forfeited.  Each weight is the
+   stage's mean share, in percent, of the stage times of three
+   [pdat reduce] runs at CLI defaults (the stage-end [wall_s] events of
+   [--log], which are [stage_seconds]), on a 2-vCPU Xeon KVM guest:
+   - Ibex rv32i --validate, 2.9 s: mine 15.8, refine 31.3, prove 45.7,
+     validate 0.4;
+   - obfuscated CM0 mibench-all --validate, 16.6 s: mine 16.4,
+     refine 28.1, prove 40.9, validate 10.2;
+   - RIDECORE rv32i --fast, 14.2 s: mine 13.1, refine 28.0, prove 51.3.
+   Validate's mean is over the two runs that validate. *)
 let stage_weights ~validate =
-  [ ("mine", 1.0); ("refine", 1.0); ("prove", 2.5) ]
-  @ (if validate then [ ("validate", 0.7) ] else [])
+  [ ("mine", 15.1); ("refine", 29.1); ("prove", 46.0) ]
+  @ (if validate then [ ("validate", 5.3) ] else [])
 
 (* Replayable counterexamples for refuted candidates.  At most
    [max_cex_dumps] waveforms are written per run — enough to explain a

@@ -1,45 +1,82 @@
-(* CDCL in the MiniSat lineage.  The invariants that matter:
-   - lits.(0) and lits.(1) of every clause are the watched literals;
-     watches.(l) lists the clauses currently watching literal l.
-   - A clause is inspected when its watched literal becomes false.
-   - All assignments live on the trail; reason.(v) is the clause that
-     propagated v (None for decisions and assumptions).
-   - For a reason clause, lits.(0) is the literal it propagated.
-   - Assumptions occupy decision levels 1..n; a conflict is never
-     resolved by flipping an assumption, so unsatisfiability under
-     assumptions surfaces when an assumption is false at its own
-     establishment (or at level 0). *)
+(* CDCL in the MiniSat lineage, stored flat so that propagation,
+   analysis and clause recording allocate nothing.
 
-type clause = {
-  mutable lits : int array;
-  mutable act : float;
-  learnt : bool;
-  mutable deleted : bool;
-}
+   Clause arena.  Every clause lives in one int array, [arena], and is
+   named by the offset of its first word (a clause ref):
 
-type vec_clause = { mutable data : clause array; mutable len : int }
+     arena.(c)             header: size lsl 2 | learnt lsl 1 | deleted
+     arena.(c + 1)         aux: a learnt clause's activity (see
+                           [activity_of]); for a problem clause, the
+                           selector variable + 1 it was added under by
+                           [add_guarded], or 0
+     arena.(c + 2 ..)      the [size] literals
+     arena.(c + 2 + size)  only in a problem clause longer than
+                           [long_clause]: the cursor of the circular
+                           replacement-watch search, a literal index in
+                           [2, size)
 
-let dummy_clause = { lits = [||]; act = 0.0; learnt = false; deleted = true }
+   Watchers.  watches.(l) holds (cw, blocker) int pairs for the clauses
+   watching literal l, which are inspected when l becomes false.  cw is
+   the clause ref shifted left one place, with the low bit set for a
+   binary clause.  The invariants:
+   - literals 0 and 1 of every clause are its watched literals, so each
+     clause has exactly one watcher in each of their two lists;
+   - the blocker is a literal of the clause, so a true blocker means the
+     clause is satisfied and its watcher is kept without reading the
+     arena;
+   - a binary clause's blocker is its other literal: it propagates or
+     conflicts from the watcher alone, and its watchers never move;
+   - a clause of three or more literals that is the reason of a
+     variable has the propagated literal at position 0 (a binary reason
+     may hold it at either position, so analysis skips the pivot by
+     value).
 
-let vc_create () = { data = Array.make 4 dummy_clause; len = 0 }
+   Deletion.  [reduce_db] sets a learnt clause's deleted bit, and
+   propagation drops a watcher the first time it reads that bit.
+   [retire] touches no clause: its ¬guard unit satisfies every clause of
+   the group at level 0, so none can propagate again.  Binary watchers
+   never read the arena, so a retired binary clause stays inert only
+   because of that unit; a longer one finds ¬guard true at its first
+   visit and moves a watch onto it.  [compact] reclaims both kinds.  It
+   runs only at decision level 0, where it slides the live clauses down
+   the arena and rebuilds the watch lists from literals 0 and 1.
+   Level-0 assignments are permanent and analysis never expands them,
+   so compaction clears their reasons instead of relocating them.
 
-let vc_push v c =
-  if v.len = Array.length v.data then begin
-    let data = Array.make (2 * v.len) dummy_clause in
-    Array.blit v.data 0 data 0 v.len;
-    v.data <- data
-  end;
-  v.data.(v.len) <- c;
-  v.len <- v.len + 1
+   Search.  All assignments live on the trail; reason.(v) is the clause
+   that propagated v ([no_reason] for decisions, assumptions and units).
+   Assumptions occupy decision levels 1..n; a conflict is never resolved
+   by flipping an assumption, so unsatisfiability under assumptions
+   surfaces when an assumption is false at its own establishment (or at
+   level 0).  The search answers Sat as soon as the trail covers every
+   variable. *)
+
+let no_reason = -1
+
+(* assign.(v): 0 false, 1 true, [undef] unassigned.  A literal's value is
+   then [assign.(var) lxor sign]: 0 false, 1 true, 2 or 3 unassigned. *)
+let undef = 2
+
+(* Problem clauses longer than this carry a cursor and search for a new
+   watch circularly from where the last search succeeded, instead of
+   rescanning from literal 2 every time.  Learnt clauses always scan
+   from literal 2: resuming there too doubled the conflicts on CM0. *)
+let long_clause = 8
+
+let has_cursor header = header lsr 2 > long_clause && header land 2 = 0
+let clause_words header =
+  2 + (header lsr 2) + if has_cursor header then 1 else 0
 
 type t = {
-  mutable clauses : clause list;
-  mutable learnts : clause list;
-  mutable watches : vec_clause array;
-  mutable assign : int array;  (* var -> -1 undef / 0 false / 1 true *)
+  mutable arena : int array;
+  mutable arena_len : int;  (* words in use *)
+  mutable wasted : int;  (* words of dead clauses awaiting [compact] *)
+  mutable watches : int array array;
+  mutable wlen : int array;  (* ints in use in each watch list *)
+  mutable assign : int array;
   mutable model : int array;
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;
   mutable activity : float array;
   mutable polarity : bool array;
   mutable heap : int array;
@@ -62,22 +99,26 @@ type t = {
   mutable n_learnts : int;
   mutable max_learnts : float;
   mutable rng : Random.State.t;
-  guarded : (int, clause list) Hashtbl.t;
-      (* selector var -> problem clauses retired together with it *)
-  mutable n_dead : int;  (* deleted problem clauses awaiting compaction *)
+  mutable group_size : int array;
+      (* selector var -> live clauses added under it; -1 once retired *)
+  mutable group_words : int array;  (* selector var -> their arena words *)
+  mutable buf : int array;
+      (* scratch: the clause being added, the learnt clause, learnt refs *)
 }
 
 type result = Sat | Unsat | Unknown
 
 let create () =
   {
-    clauses = [];
-    learnts = [];
-    watches = Array.init 4 (fun _ -> vc_create ());
-    assign = Array.make 2 (-1);
-    model = Array.make 2 (-1);
+    arena = Array.make 1024 0;
+    arena_len = 0;
+    wasted = 0;
+    watches = Array.make 4 [||];
+    wlen = Array.make 4 0;
+    assign = Array.make 2 undef;
+    model = Array.make 2 undef;
     level = Array.make 2 0;
-    reason = Array.make 2 None;
+    reason = Array.make 2 no_reason;
     activity = Array.make 2 0.0;
     polarity = Array.make 2 false;
     heap = Array.make 2 0;
@@ -100,8 +141,9 @@ let create () =
     n_learnts = 0;
     max_learnts = 8192.0;
     rng = Random.State.make [| 91648253 |];
-    guarded = Hashtbl.create 64;
-    n_dead = 0;
+    group_size = Array.make 2 0;
+    group_words = Array.make 2 0;
+    buf = Array.make 16 0;
   }
 
 let set_seed s seed = s.rng <- Random.State.make [| seed |]
@@ -165,42 +207,66 @@ let heap_pop s =
 
 let heap_bubble_up s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 
+(* In-place heapsort of a.(0 .. n-1) by [key], for the scratch buffer. *)
+let sort_prefix (a : int array) n (key : int -> int) =
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let m = if l + 1 < n && key a.(l + 1) > key a.(l) then l + 1 else l in
+      if key a.(m) > key a.(i) then begin
+        let t = a.(i) in
+        a.(i) <- a.(m);
+        a.(m) <- t;
+        sift m n
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for e = n - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(e);
+    a.(e) <- t;
+    sift 0 e
+  done
+
 (* ---------------- variables and values ----------------------------- *)
+
+let ensure_buf s n =
+  if Array.length s.buf < n then
+    s.buf <- Array.make (max n (2 * Array.length s.buf)) 0
 
 let ensure_capacity s n =
   let cap = Array.length s.assign in
   if n > cap then begin
     let ncap = max (2 * cap) n in
-    let grow_int a def =
+    let grow a def =
       let a' = Array.make ncap def in
       Array.blit a 0 a' 0 cap;
       a'
     in
-    s.assign <- grow_int s.assign (-1);
-    s.model <- grow_int s.model (-1);
-    s.level <- grow_int s.level 0;
-    (let a = Array.make ncap None in
-     Array.blit s.reason 0 a 0 cap;
-     s.reason <- a);
-    (let a = Array.make ncap 0.0 in
-     Array.blit s.activity 0 a 0 cap;
-     s.activity <- a);
-    (let a = Array.make ncap false in
-     Array.blit s.polarity 0 a 0 cap;
-     s.polarity <- a);
-    s.heap_pos <- grow_int s.heap_pos (-1);
-    (let a = Array.make ncap false in
-     Array.blit s.seen 0 a 0 cap;
-     s.seen <- a);
-    (let w = Array.init (2 * ncap) (fun _ -> vc_create ()) in
+    s.assign <- grow s.assign undef;
+    s.model <- grow s.model undef;
+    s.level <- grow s.level 0;
+    s.reason <- grow s.reason no_reason;
+    s.activity <- grow s.activity 0.0;
+    s.polarity <- grow s.polarity false;
+    s.heap_pos <- grow s.heap_pos (-1);
+    s.seen <- grow s.seen false;
+    s.group_size <- grow s.group_size 0;
+    s.group_words <- grow s.group_words 0;
+    (let w = Array.make (2 * ncap) [||] in
      Array.blit s.watches 0 w 0 (Array.length s.watches);
      s.watches <- w);
+    (let w = Array.make (2 * ncap) 0 in
+     Array.blit s.wlen 0 w 0 (Array.length s.wlen);
+     s.wlen <- w);
     (let t = Array.make ncap 0 in
      Array.blit s.trail 0 t 0 s.trail_len;
      s.trail <- t);
-    let tl = Array.make (ncap + 1) 0 in
-    Array.blit s.trail_lim 0 tl 0 s.n_levels;
-    s.trail_lim <- tl
+    (* analysis collects at most one literal per variable, plus the UIP *)
+    ensure_buf s (ncap + 1)
   end
 
 let new_var s =
@@ -210,14 +276,11 @@ let new_var s =
   heap_insert s v;
   v
 
-let lit_val s l =
-  let v = s.assign.(l lsr 1) in
-  if v < 0 then -1 else v lxor (l land 1)
+let lit_val s l = s.assign.(l lsr 1) lxor (l land 1)
 
 (* ---------------- trail ------------------------------------------- *)
 
 let enqueue s l reason =
-  if reason <> None then s.propagations <- s.propagations + 1;
   let v = l lsr 1 in
   s.assign.(v) <- (l land 1) lxor 1;
   s.level.(v) <- s.n_levels;
@@ -229,11 +292,9 @@ let cancel_until s lvl =
   if s.n_levels > lvl then begin
     let target = s.trail_lim.(lvl) in
     for i = s.trail_len - 1 downto target do
-      let l = s.trail.(i) in
-      let v = l lsr 1 in
+      let v = s.trail.(i) lsr 1 in
       s.polarity.(v) <- s.assign.(v) = 1;
-      s.assign.(v) <- -1;
-      s.reason.(v) <- None;
+      s.assign.(v) <- undef;
       heap_insert s v
     done;
     s.trail_len <- target;
@@ -245,13 +306,107 @@ let new_decision_level s =
   s.trail_lim.(s.n_levels) <- s.trail_len;
   s.n_levels <- s.n_levels + 1
 
+(* ---------------- clause arena ------------------------------------- *)
+
+(* A learnt clause keeps its activity in its aux word as the IEEE bits
+   of a non-negative float shifted right one place, so int order is
+   activity order; the dropped low mantissa bit does not matter. *)
+let activity_of a c =
+  Int64.float_of_bits (Int64.shift_left (Int64.of_int a.(c + 1)) 1)
+
+let set_activity a c x =
+  a.(c + 1) <-
+    Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 1)
+
+let push_watch s l cw blocker =
+  let n = s.wlen.(l) in
+  let ws =
+    let ws = s.watches.(l) in
+    if n + 2 <= Array.length ws then ws
+    else begin
+      let ws' = Array.make (max 4 (2 * n)) 0 in
+      Array.blit ws 0 ws' 0 n;
+      s.watches.(l) <- ws';
+      ws'
+    end
+  in
+  ws.(n) <- cw;
+  ws.(n + 1) <- blocker;
+  s.wlen.(l) <- n + 2
+
+let attach s c =
+  let a = s.arena in
+  let l0 = a.(c + 2) and l1 = a.(c + 3) in
+  let cw = if a.(c) lsr 2 = 2 then (c lsl 1) lor 1 else c lsl 1 in
+  push_watch s l0 cw l1;
+  push_watch s l1 cw l0
+
+(* Grows by half rather than doubling: the arena is the solver's largest
+   block and the old copy stays on the heap until the next major
+   collection. *)
+let alloc s words =
+  let need = s.arena_len + words in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (Array.length s.arena * 3 / 2)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_len;
+    s.arena <- a
+  end;
+  let c = s.arena_len in
+  s.arena_len <- need;
+  c
+
+(* Appends the clause held in buf.(0 .. n-1), n >= 2, and watches it on
+   its first two literals. *)
+let new_clause s ~learnt ~aux n =
+  let h = (n lsl 2) lor if learnt then 2 else 0 in
+  let c = alloc s (clause_words h) in
+  let a = s.arena in
+  a.(c) <- h;
+  a.(c + 1) <- aux;
+  Array.blit s.buf 0 a (c + 2) n;
+  if has_cursor h then a.(c + 2 + n) <- 2;
+  attach s c;
+  c
+
+let dead s c =
+  let h = s.arena.(c) in
+  h land 1 = 1
+  || h land 2 = 0
+     &&
+     let g = s.arena.(c + 1) in
+     g > 0 && s.group_size.(g - 1) < 0
+
+(* Level 0 only: slides live clauses down over dead ones and rebuilds
+   every watch list.  Each list then holds its live watchers in arena
+   order, never more than before, so no list grows. *)
+let compact s =
+  assert (s.n_levels = 0);
+  for i = 0 to s.trail_len - 1 do
+    s.reason.(s.trail.(i) lsr 1) <- no_reason
+  done;
+  let a = s.arena in
+  let dst = ref 0 and src = ref 0 in
+  while !src < s.arena_len do
+    let c = !src in
+    let w = clause_words a.(c) in
+    if not (dead s c) then begin
+      if !dst <> c then Array.blit a c a !dst w;
+      dst := !dst + w
+    end;
+    src := c + w
+  done;
+  s.arena_len <- !dst;
+  s.wasted <- 0;
+  Array.fill s.wlen 0 (Array.length s.wlen) 0;
+  let c = ref 0 in
+  while !c < s.arena_len do
+    attach s !c;
+    c := !c + clause_words a.(!c)
+  done
+
+let maybe_compact s = if 2 * s.wasted > s.arena_len then compact s
+
 (* ---------------- clause management -------------------------------- *)
-
-let watch s l c = vc_push s.watches.(l) c
-
-let attach_clause s c =
-  watch s c.lits.(0) c;
-  watch s c.lits.(1) c
 
 let var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -266,53 +421,79 @@ let var_bump s v =
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
 let cla_bump s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
-    List.iter (fun c -> c.act <- c.act *. 1e-20) s.learnts;
+  let a = s.arena in
+  let x = activity_of a c +. s.cla_inc in
+  set_activity a c x;
+  if x > 1e20 then begin
+    let c = ref 0 in
+    while !c < s.arena_len do
+      if a.(!c) land 2 <> 0 then set_activity a !c (activity_of a !c *. 1e-20);
+      c := !c + clause_words a.(!c)
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
-(* Returns the clause object actually stored, when one is: simplified
-   or satisfied clauses (and units, which go straight onto the trail)
-   allocate nothing and return [None]. *)
-let add_clause_tracked s lits =
+let rec fill_buf buf i = function
+  | [] -> ()
+  | l :: rest ->
+      buf.(i) <- l;
+      fill_buf buf (i + 1) rest
+
+(* Adds a problem clause with the given aux word.  Returns its ref, or
+   [no_reason] when nothing is stored: a tautology, a clause satisfied at
+   level 0, a unit (which goes onto the trail) or the empty clause. *)
+let add_clause_tracked s ~aux lits =
   List.iter
     (fun l ->
       if l lsr 1 >= s.n_vars then
         invalid_arg "Solver.add_clause: unknown variable")
     lits;
-  if not s.ok then None
+  if not s.ok then no_reason
   else begin
     assert (s.n_levels = 0);
-    let lits = List.sort_uniq compare lits in
-    let rec tautology = function
-      | a :: b :: _ when b = a lxor 1 -> true
-      | _ :: rest -> tautology rest
-      | [] -> false
-    in
-    if tautology lits || List.exists (fun l -> lit_val s l = 1) lits then None
-    else
-      let lits = List.filter (fun l -> lit_val s l <> 0) lits in
-      match lits with
-      | [] ->
-          s.ok <- false;
-          None
-      | [ l ] ->
-          enqueue s l None;
-          None
+    let n = List.length lits in
+    ensure_buf s n;
+    let buf = s.buf in
+    fill_buf buf 0 lits;
+    sort_prefix buf n Fun.id;
+    (* drop duplicates; x and ¬x are adjacent once sorted *)
+    let m = ref 0 and skip = ref false in
+    for i = 0 to n - 1 do
+      let l = buf.(i) in
+      if !m = 0 || buf.(!m - 1) <> l then begin
+        if !m > 0 && buf.(!m - 1) = l lxor 1 then skip := true;
+        buf.(!m) <- l;
+        incr m
+      end
+    done;
+    (* drop literals false at level 0; one true literal satisfies it *)
+    let k = ref 0 in
+    for i = 0 to !m - 1 do
+      let l = buf.(i) in
+      match lit_val s l with
+      | 0 -> ()
+      | 1 -> skip := true
       | _ ->
-          let c =
-            { lits = Array.of_list lits; act = 0.0; learnt = false; deleted = false }
-          in
-          attach_clause s c;
-          s.clauses <- c :: s.clauses;
+          buf.(!k) <- l;
+          incr k
+    done;
+    if !skip then no_reason
+    else
+      match !k with
+      | 0 ->
+          s.ok <- false;
+          no_reason
+      | 1 ->
+          enqueue s buf.(0) no_reason;
+          no_reason
+      | k ->
           s.n_clauses <- s.n_clauses + 1;
-          Some c
+          new_clause s ~learnt:false ~aux k
   end
 
-let add_clause s lits = ignore (add_clause_tracked s lits)
+let add_clause s lits = ignore (add_clause_tracked s ~aux:0 lits : int)
 
 (* ---------------- selectors (guarded clause groups) ----------------- *)
 
@@ -325,213 +506,264 @@ let add_clause s lits = ignore (add_clause_tracked s lits)
 let new_selector s = Lit.pos (new_var s)
 
 let add_guarded s ~guard lits =
-  match add_clause_tracked s (Lit.negate guard :: lits) with
-  | None -> ()
-  | Some c ->
-      let v = Lit.var guard in
-      let prev = try Hashtbl.find s.guarded v with Not_found -> [] in
-      Hashtbl.replace s.guarded v (c :: prev)
+  let v = Lit.var guard in
+  let c = add_clause_tracked s ~aux:(v + 1) (Lit.negate guard :: lits) in
+  if c <> no_reason then begin
+    s.group_size.(v) <- s.group_size.(v) + 1;
+    s.group_words.(v) <- s.group_words.(v) + clause_words s.arena.(c)
+  end
 
 let retire s guard =
-  (* The unit clause makes the selector false forever, turning any
-     learned clause that mentions it vacuous; the problem clauses it
-     guarded are deleted outright rather than left satisfied. *)
+  (* The unit makes the selector false forever, which satisfies every
+     clause of the group and every learned clause that mentions it. *)
   add_clause s [ Lit.negate guard ];
   let v = Lit.var guard in
-  (match Hashtbl.find_opt s.guarded v with
-  | None -> ()
-  | Some cs ->
-      Hashtbl.remove s.guarded v;
-      List.iter
-        (fun c ->
-          if not c.deleted then begin
-            c.deleted <- true;
-            s.n_clauses <- s.n_clauses - 1;
-            s.n_dead <- s.n_dead + 1
-          end)
-        cs);
-  (* Amortized compaction: watch lists self-clean during propagation,
-     but the clause list itself is swept only when dead clauses pile
-     up, keeping [retire] O(group size) amortized. *)
-  if s.n_dead > 64 && s.n_dead > s.n_clauses then begin
-    s.clauses <- List.filter (fun c -> not c.deleted) s.clauses;
-    s.n_dead <- 0
-  end
+  if s.group_size.(v) > 0 then begin
+    s.n_clauses <- s.n_clauses - s.group_size.(v);
+    s.wasted <- s.wasted + s.group_words.(v)
+  end;
+  s.group_size.(v) <- -1;
+  maybe_compact s
 
 (* ---------------- propagation -------------------------------------- *)
 
-exception Conflict of clause
-
+(* Returns the conflicting clause, or [no_reason]. *)
 let propagate s =
-  try
-    while s.qhead < s.trail_len do
-      let p = s.trail.(s.qhead) in
-      s.qhead <- s.qhead + 1;
-      (* p became true: clauses watching ¬p lost a watch. *)
-      let np = p lxor 1 in
-      let ws = s.watches.(np) in
-      let j = ref 0 in
-      let i = ref 0 in
-      while !i < ws.len do
-        let c = ws.data.(!i) in
-        incr i;
-        if not c.deleted then begin
-          if c.lits.(0) = np then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- np
+  let confl = ref no_reason in
+  let a = s.arena and watches = s.watches in
+  while !confl = no_reason && s.qhead < s.trail_len do
+    let p = s.trail.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    (* p became true: clauses watching ¬p lost a watch. *)
+    let np = p lxor 1 in
+    let ws = watches.(np) in
+    let n = s.wlen.(np) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let cw = ws.(!i) and blocker = ws.(!i + 1) in
+      i := !i + 2;
+      if lit_val s blocker = 1 then begin
+        ws.(!j) <- cw;
+        ws.(!j + 1) <- blocker;
+        j := !j + 2
+      end
+      else if cw land 1 = 1 then begin
+        ws.(!j) <- cw;
+        ws.(!j + 1) <- blocker;
+        j := !j + 2;
+        if lit_val s blocker = 0 then begin
+          confl := cw lsr 1;
+          while !i < n do
+            ws.(!j) <- ws.(!i);
+            incr j;
+            incr i
+          done
+        end
+        else begin
+          s.propagations <- s.propagations + 1;
+          enqueue s blocker (cw lsr 1)
+        end
+      end
+      else begin
+        let c = cw lsr 1 in
+        let h = a.(c) in
+        (* a deleted clause loses this watcher: not copied back *)
+        if h land 1 = 0 then begin
+          let b = c + 2 in
+          if a.(b) = np then begin
+            a.(b) <- a.(b + 1);
+            a.(b + 1) <- np
           end;
-          if lit_val s c.lits.(0) = 1 then begin
-            ws.data.(!j) <- c;
-            incr j
+          let first = a.(b) in
+          if first <> blocker && lit_val s first = 1 then begin
+            ws.(!j) <- cw;
+            ws.(!j + 1) <- first;
+            j := !j + 2
           end
           else begin
-            let n = Array.length c.lits in
-            let found = ref false in
+            let size = h lsr 2 in
             let k = ref 2 in
-            while (not !found) && !k < n do
-              if lit_val s c.lits.(!k) <> 0 then begin
-                c.lits.(1) <- c.lits.(!k);
-                c.lits.(!k) <- np;
-                watch s c.lits.(1) c;
-                found := true
+            if not (has_cursor h) then
+              while !k < size && lit_val s a.(b + !k) = 0 do
+                incr k
+              done
+            else begin
+              let cursor = a.(b + size) in
+              k := cursor;
+              while !k < size && lit_val s a.(b + !k) = 0 do
+                incr k
+              done;
+              if !k = size then begin
+                k := 2;
+                while !k < cursor && lit_val s a.(b + !k) = 0 do
+                  incr k
+                done;
+                if !k = cursor then k := size
               end;
-              incr k
-            done;
-            if not !found then begin
-              ws.data.(!j) <- c;
-              incr j;
-              if lit_val s c.lits.(0) = 0 then begin
-                while !i < ws.len do
-                  ws.data.(!j) <- ws.data.(!i);
+              if !k < size then a.(b + size) <- !k
+            end;
+            if !k < size then begin
+              let l = a.(b + !k) in
+              a.(b + 1) <- l;
+              a.(b + !k) <- np;
+              push_watch s l cw first
+            end
+            else begin
+              ws.(!j) <- cw;
+              ws.(!j + 1) <- first;
+              j := !j + 2;
+              if lit_val s first = 0 then begin
+                confl := c;
+                while !i < n do
+                  ws.(!j) <- ws.(!i);
                   incr j;
                   incr i
-                done;
-                ws.len <- !j;
-                s.qhead <- s.trail_len;
-                raise (Conflict c)
+                done
               end
-              else enqueue s c.lits.(0) (Some c)
+              else begin
+                s.propagations <- s.propagations + 1;
+                enqueue s first c
+              end
             end
           end
         end
-      done;
-      ws.len <- !j
+      end
     done;
-    None
-  with Conflict c -> Some c
+    s.wlen.(np) <- !j
+  done;
+  if !confl <> no_reason then s.qhead <- s.trail_len;
+  !confl
 
 (* ---------------- conflict analysis -------------------------------- *)
 
+(* Literal [q] of the learnt clause is implied by the others: its reason
+   holds only literals already in the clause or fixed at level 0. *)
+let redundant s q =
+  let r = s.reason.(q lsr 1) in
+  r <> no_reason
+  &&
+  let a = s.arena in
+  let last = r + 1 + (a.(r) lsr 2) in
+  let k = ref (r + 2) in
+  while
+    !k <= last
+    &&
+    let v = a.(!k) lsr 1 in
+    v = q lsr 1 || s.seen.(v) || s.level.(v) = 0
+  do
+    incr k
+  done;
+  !k > last
+
+(* 1-UIP analysis.  Leaves the learnt clause in buf.(0 .. n-1) and
+   returns n: the asserting literal first, then, when n > 1, a literal
+   of the backjump level. *)
 let analyze s confl =
-  let learnt = ref [] in
-  let path = ref 0 in
-  let p = ref (-1) in
-  let index = ref (s.trail_len - 1) in
-  let confl = ref confl in
+  let a = s.arena and buf = s.buf in
   let dl = s.n_levels in
-  let uip = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let c = !confl in
-    if c.learnt then cla_bump s c;
-    let start = if !p < 0 then 0 else 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
+  let n = ref 1 and path = ref 0 and p = ref (-1) in
+  let index = ref (s.trail_len - 1) in
+  let c = ref confl in
+  while !c <> no_reason do
+    let c0 = !c in
+    if a.(c0) land 2 <> 0 then cla_bump s c0;
+    for k = c0 + 2 to c0 + 1 + (a.(c0) lsr 2) do
+      let q = a.(k) in
       let v = q lsr 1 in
-      if (not s.seen.(v)) && s.level.(v) > 0 then begin
+      if q <> !p && (not s.seen.(v)) && s.level.(v) > 0 then begin
         s.seen.(v) <- true;
         var_bump s v;
-        if s.level.(v) >= dl then incr path else learnt := q :: !learnt
+        if s.level.(v) >= dl then incr path
+        else begin
+          buf.(!n) <- q;
+          incr n
+        end
       end
     done;
-    let rec find_next () =
-      let l = s.trail.(!index) in
-      decr index;
-      if s.seen.(l lsr 1) then l else find_next ()
-    in
-    let l = find_next () in
-    let v = l lsr 1 in
-    s.seen.(v) <- false;
+    while not s.seen.(s.trail.(!index) lsr 1) do
+      decr index
+    done;
+    let l = s.trail.(!index) in
+    decr index;
+    s.seen.(l lsr 1) <- false;
     decr path;
     if !path = 0 then begin
-      uip := Lit.negate l;
-      continue := false
+      buf.(0) <- l lxor 1;
+      c := no_reason
     end
     else begin
-      (match s.reason.(v) with
-      | Some c -> confl := c
-      | None -> assert false);
+      c := s.reason.(l lsr 1);
       p := l
     end
   done;
-  (* Cheap recursive-free minimization against direct reasons. *)
-  let learnt_list = !learnt in
-  List.iter (fun q -> s.seen.(q lsr 1) <- true) learnt_list;
-  let redundant q =
-    match s.reason.(q lsr 1) with
-    | None -> false
-    | Some c ->
-        Array.for_all
-          (fun l ->
-            l lsr 1 = q lsr 1 || s.seen.(l lsr 1) || s.level.(l lsr 1) = 0)
-          c.lits
-  in
-  let kept = List.filter (fun q -> not (redundant q)) learnt_list in
-  List.iter (fun q -> s.seen.(q lsr 1) <- false) learnt_list;
-  let blevel = List.fold_left (fun acc q -> max acc s.level.(q lsr 1)) 0 kept in
-  (!uip :: kept, blevel)
+  (* Minimise against direct reasons: a stable partition moves the kept
+     literals to the front, leaving every collected literal in the
+     buffer so that their seen marks can be cleared after. *)
+  let collected = !n in
+  let kept = ref 1 in
+  for i = 1 to collected - 1 do
+    let q = buf.(i) in
+    if not (redundant s q) then begin
+      buf.(i) <- buf.(!kept);
+      buf.(!kept) <- q;
+      incr kept
+    end
+  done;
+  for i = 1 to collected - 1 do
+    s.seen.(buf.(i) lsr 1) <- false
+  done;
+  let n = !kept in
+  if n > 1 then begin
+    let max_i = ref 1 in
+    for i = 2 to n - 1 do
+      if s.level.(buf.(i) lsr 1) > s.level.(buf.(!max_i) lsr 1) then max_i := i
+    done;
+    let t = buf.(1) in
+    buf.(1) <- buf.(!max_i);
+    buf.(!max_i) <- t
+  end;
+  n
 
-let record_learnt s lits =
-  match lits with
-  | [] -> s.ok <- false
-  | [ l ] -> enqueue s l None
-  | l0 :: rest ->
-      let rest_arr = Array.of_list rest in
-      let max_i = ref 0 in
-      Array.iteri
-        (fun i q ->
-          if s.level.(q lsr 1) > s.level.(rest_arr.(!max_i) lsr 1) then max_i := i)
-        rest_arr;
-      let tmp = rest_arr.(0) in
-      rest_arr.(0) <- rest_arr.(!max_i);
-      rest_arr.(!max_i) <- tmp;
-      let c =
-        {
-          lits = Array.append [| l0 |] rest_arr;
-          act = 0.0;
-          learnt = true;
-          deleted = false;
-        }
-      in
-      attach_clause s c;
-      cla_bump s c;
-      s.learnts <- c :: s.learnts;
-      s.n_learnts <- s.n_learnts + 1;
-      enqueue s l0 (Some c)
+(* Records the clause [analyze] left in the buffer and asserts its first
+   literal; the caller has already backjumped. *)
+let record_learnt s n =
+  if n = 1 then enqueue s s.buf.(0) no_reason
+  else begin
+    let c = new_clause s ~learnt:true ~aux:0 n in
+    cla_bump s c;
+    s.n_learnts <- s.n_learnts + 1;
+    s.propagations <- s.propagations + 1;
+    enqueue s s.buf.(0) c
+  end
 
 let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = c.lits.(0) lsr 1 in
-  s.assign.(v) >= 0
-  && (match s.reason.(v) with Some c' -> c' == c | None -> false)
+  let l0 = s.arena.(c + 2) in
+  s.reason.(l0 lsr 1) = c && lit_val s l0 = 1
 
+(* Deletes the less active half of the learnt clauses, sparing binary
+   clauses and current reasons. *)
 let reduce_db s =
-  let learnts =
-    List.filter (fun c -> not c.deleted) s.learnts
-    |> List.sort (fun a b -> compare a.act b.act)
-  in
-  let n = List.length learnts in
-  let killed = ref 0 in
-  List.iteri
-    (fun i c ->
-      if i < n / 2 && Array.length c.lits > 2 && not (locked s c) then begin
-        c.deleted <- true;
-        incr killed
-      end)
-    learnts;
-  s.learnts <- List.filter (fun c -> not c.deleted) learnts;
-  s.n_learnts <- s.n_learnts - !killed
+  let a = s.arena in
+  ensure_buf s s.n_learnts;
+  let buf = s.buf in
+  let n = ref 0 and c = ref 0 in
+  while !c < s.arena_len do
+    let h = a.(!c) in
+    if h land 3 = 2 then begin
+      buf.(!n) <- !c;
+      incr n
+    end;
+    c := !c + clause_words h
+  done;
+  sort_prefix buf !n (fun c -> a.(c + 1));
+  for i = 0 to (!n / 2) - 1 do
+    let c = buf.(i) in
+    if a.(c) lsr 2 > 2 && not (locked s c) then begin
+      s.wasted <- s.wasted + clause_words a.(c);
+      a.(c) <- a.(c) lor 1;
+      s.n_learnts <- s.n_learnts - 1
+    end
+  done
 
 (* ---------------- search -------------------------------------------- *)
 
@@ -550,88 +782,88 @@ let luby x =
   done;
   1 lsl !seq
 
-let pick_branch_var s =
-  let rec go () =
-    if s.heap_len = 0 then -1
-    else
-      let v = heap_pop s in
-      if s.assign.(v) < 0 then v else go ()
-  in
-  go ()
+(* Every unassigned variable is on the heap, and the caller has checked
+   that one exists. *)
+let rec pick_branch_var s =
+  let v = heap_pop s in
+  if s.assign.(v) = undef then v else pick_branch_var s
 
 let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
   let deadline = match deadline with Some t -> t | None -> infinity in
   if not s.ok then Unsat
   else if deadline < infinity && Obs.Clock.now_s () >= deadline then Unknown
   else begin
+    maybe_compact s;
     let budget_start = s.conflicts in
     let assumptions = Array.of_list assumptions in
     let n_assumps = Array.length assumptions in
+    (* levels exist only inside [solve]: one per assumption, repeated
+       ones included, then at most one per decision *)
+    if Array.length s.trail_lim <= n_assumps + s.n_vars then
+      s.trail_lim <- Array.make (n_assumps + s.n_vars + 1) 0;
     let restart_count = ref 0 in
     let result = ref Unknown in
     let finished = ref false in
     let local_conflicts = ref 0 in
     let restart_budget = ref (100 * luby 0) in
     while not !finished do
-      match propagate s with
-      | Some confl ->
-          s.conflicts <- s.conflicts + 1;
-          incr local_conflicts;
-          if s.n_levels = 0 then begin
-            s.ok <- false;
-            result := Unsat;
+      let confl = propagate s in
+      if confl <> no_reason then begin
+        s.conflicts <- s.conflicts + 1;
+        incr local_conflicts;
+        if s.n_levels = 0 then begin
+          s.ok <- false;
+          result := Unsat;
+          finished := true
+        end
+        else begin
+          let n = analyze s confl in
+          cancel_until s (if n = 1 then 0 else s.level.(s.buf.(1) lsr 1));
+          record_learnt s n;
+          var_decay s;
+          cla_decay s;
+          if (conflict_budget >= 0
+              && s.conflicts - budget_start >= conflict_budget)
+             || (deadline < infinity && Obs.Clock.now_s () >= deadline)
+          then begin
+            result := Unknown;
             finished := true
           end
-          else begin
-            let lits, blevel = analyze s confl in
-            cancel_until s blevel;
-            record_learnt s lits;
-            var_decay s;
-            cla_decay s;
-            if (conflict_budget >= 0
-                && s.conflicts - budget_start >= conflict_budget)
-               || (deadline < infinity && Obs.Clock.now_s () >= deadline)
-            then begin
-              result := Unknown;
-              finished := true
-            end
-          end
-      | None ->
-          if !local_conflicts >= !restart_budget && s.n_levels > n_assumps
-          then begin
-            cancel_until s n_assumps;
-            incr restart_count;
-            local_conflicts := 0;
-            restart_budget := 100 * luby !restart_count
-          end
-          else if float_of_int s.n_learnts >= s.max_learnts then begin
-            reduce_db s;
-            s.max_learnts <- s.max_learnts *. 1.2
-          end
-          else if s.n_levels < n_assumps then begin
-            let a = assumptions.(s.n_levels) in
-            match lit_val s a with
-            | 1 -> new_decision_level s
-            | 0 ->
-                result := Unsat;
-                finished := true
-            | _ ->
-                new_decision_level s;
-                enqueue s a None
-          end
-          else begin
-            let v = pick_branch_var s in
-            if v < 0 then begin
-              Array.blit s.assign 0 s.model 0 s.n_vars;
-              result := Sat;
-              finished := true
-            end
-            else begin
-              s.decisions <- s.decisions + 1;
-              new_decision_level s;
-              enqueue s (Lit.make v s.polarity.(v)) None
-            end
-          end
+        end
+      end
+      else if !local_conflicts >= !restart_budget && s.n_levels > n_assumps
+      then begin
+        cancel_until s n_assumps;
+        incr restart_count;
+        local_conflicts := 0;
+        restart_budget := 100 * luby !restart_count
+      end
+      else if float_of_int s.n_learnts >= s.max_learnts then begin
+        reduce_db s;
+        s.max_learnts <- s.max_learnts *. 1.2
+      end
+      else if s.n_levels < n_assumps then begin
+        let a = assumptions.(s.n_levels) in
+        match lit_val s a with
+        | 1 -> new_decision_level s
+        | 0 ->
+            result := Unsat;
+            finished := true
+        | _ ->
+            new_decision_level s;
+            enqueue s a no_reason
+      end
+      else if s.trail_len = s.n_vars then begin
+        Array.blit s.assign 0 s.model 0 s.n_vars;
+        result := Sat;
+        finished := true
+      end
+      else begin
+        let v = pick_branch_var s in
+        s.decisions <- s.decisions + 1;
+        new_decision_level s;
+        enqueue s (Lit.make v s.polarity.(v)) no_reason
+      end
     done;
     cancel_until s 0;
     !result
@@ -700,4 +932,3 @@ let value s v = s.model.(v) = 1
 
 let lit_value s l =
   if Lit.sign l then value s (Lit.var l) else not (value s (Lit.var l))
-

@@ -6,7 +6,25 @@
     calls, and each call may carry assumption literals.  A conflict
     budget turns the solver into a semi-decision procedure — exactly
     what the PDAT property-checking stage needs, where "unknown" just
-    means an optimization is skipped. *)
+    means an optimization is skipped.
+
+    The kernel is flat, so propagation allocates nothing:
+    - every clause lives in one int arena as a header word, an aux word
+      (a learnt clause's activity, or the selector a guarded clause was
+      added under) and its literals; a problem clause longer than eight
+      literals also keeps a cursor, so the search for a new watch
+      resumes where it last succeeded instead of rescanning;
+    - a watcher is a (clause offset, blocker literal) pair, and a true
+      blocker skips the clause without reading the arena; a binary
+      clause's blocker is its other literal, so it propagates from the
+      watcher alone;
+    - reasons are clause offsets in an int array, and analysis works in
+      preallocated int buffers;
+    - {!retire} only adds its [¬guard] unit and counts the group dead:
+      binary watchers never read the arena, so a retired binary clause
+      stays inert because that unit satisfies it at level 0.  Dead
+      clauses are reclaimed by compaction at decision level 0 once they
+      fill half the arena. *)
 
 type t
 
@@ -60,11 +78,12 @@ val add_guarded : t -> guard:Lit.t -> Lit.t list -> unit
 val retire : t -> Lit.t -> unit
 (** Permanently deactivates a selector: adds the unit clause
     [¬guard], so learned clauses mentioning the selector become
-    vacuous, and physically deletes every clause registered under it
-    (they can never propagate again, so deletion is sound).  Must be
-    called between [solve] calls (decision level 0).  Retiring twice,
-    or retiring a selector with no registered clauses, is a no-op
-    beyond the unit. *)
+    vacuous, and deletes every clause registered under it: they leave
+    {!num_clauses} at once and their arena space is reclaimed by the
+    next compaction (they can never propagate again, so deletion is
+    sound).  Must be called between [solve] calls (decision level 0).
+    Retiring twice, or retiring a selector with no registered clauses,
+    is a no-op beyond the unit. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after {!solve} returned [Sat].

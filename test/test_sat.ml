@@ -333,6 +333,198 @@ let test_selector_guard_and_retire () =
   check_result "a retired guard can never be re-activated" true
     (is_unsat (Sat.Solver.solve ~assumptions:[ g ] s))
 
+(* --- the incremental API against brute force --------------------------- *)
+
+(* A random session interleaves add_clause, add_guarded, retire and
+   solve over at most 10 data variables.  The reference keeps the
+   clauses still active: the permanent ones, each live selector's group
+   and the ¬guard unit of every retired selector.  Sessions with 8 or
+   more data variables add clauses wider than the solver's circular
+   watch-search threshold (8 literals), and retiring groups out of
+   these small clause sets keeps triggering arena compaction. *)
+
+type session = {
+  solver : Sat.Solver.t;
+  data_vars : int;
+  mutable perm : Sat.Lit.t list list;
+  mutable live : (Sat.Lit.t * Sat.Lit.t list list) list;
+      (* selector, guarded bodies (without ¬selector) *)
+  mutable retired : Sat.Lit.t list;
+}
+
+let random_body rng d =
+  if d >= 8 && Random.State.int rng 4 = 0 then begin
+    (* distinct variables: a wide clause with no duplicate to merge *)
+    let vars = Array.init d Fun.id in
+    for i = d - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = vars.(i) in
+      vars.(i) <- vars.(j);
+      vars.(j) <- t
+    done;
+    List.init (min d (8 + Random.State.int rng 3)) (fun i ->
+        Sat.Lit.make vars.(i) (Random.State.bool rng))
+  end
+  else
+    List.init (1 + Random.State.int rng 3) (fun _ ->
+        Sat.Lit.make (Random.State.int rng d) (Random.State.bool rng))
+
+(* Brute force over the data variables and live selectors: literals
+   become bit masks, a retired selector is false, and [None] means an
+   assumption asks for a retired selector to be true. *)
+let reference_sat sess assumptions =
+  let live = Array.of_list (List.map fst sess.live) in
+  let bit v =
+    if v < sess.data_vars then Some v
+    else
+      let rec find k =
+        if k = Array.length live then None
+        else if Sat.Lit.var live.(k) = v then Some (sess.data_vars + k)
+        else find (k + 1)
+      in
+      find 0
+  in
+  let mask c =
+    List.fold_left
+      (fun (p, n) l ->
+        match bit (Sat.Lit.var l) with
+        | Some b when Sat.Lit.sign l -> (p lor (1 lsl b), n)
+        | Some b -> (p, n lor (1 lsl b))
+        | None -> invalid_arg "active clause mentions a retired selector")
+      (0, 0) c
+  in
+  let active =
+    sess.perm
+    @ List.concat_map
+        (fun (g, bodies) -> List.map (fun b -> Sat.Lit.negate g :: b) bodies)
+        sess.live
+  in
+  let retired_true =
+    List.exists
+      (fun a -> Sat.Lit.sign a && bit (Sat.Lit.var a) = None)
+      assumptions
+  in
+  let units =
+    List.filter_map
+      (fun a -> if bit (Sat.Lit.var a) = None then None else Some [ a ])
+      assumptions
+  in
+  let clauses = Array.of_list (List.map mask (active @ units)) in
+  let n_bits = sess.data_vars + Array.length live in
+  let satisfies x =
+    Array.for_all (fun (p, n) -> x land p <> 0 || lnot x land n <> 0) clauses
+  in
+  let rec search x = x < 1 lsl n_bits && (satisfies x || search (x + 1)) in
+  (not retired_true) && search 0
+
+let check_model sess assumptions =
+  let holds c = List.exists (Sat.Solver.lit_value sess.solver) c in
+  let fail what = Alcotest.failf "model violates %s" what in
+  List.iter (fun c -> if not (holds c) then fail "a permanent clause") sess.perm;
+  List.iter
+    (fun (g, bodies) ->
+      List.iter
+        (fun b -> if not (holds (Sat.Lit.negate g :: b)) then fail "a guarded clause")
+        bodies)
+    sess.live;
+  List.iter
+    (fun g -> if Sat.Solver.lit_value sess.solver g then fail "a retired selector")
+    sess.retired;
+  List.iter
+    (fun a -> if not (Sat.Solver.lit_value sess.solver a) then fail "an assumption")
+    assumptions
+
+let run_session rng =
+  let d = 3 + Random.State.int rng 8 in
+  let sess =
+    { solver = mk d; data_vars = d; perm = []; live = []; retired = [] }
+  in
+  let s = sess.solver in
+  for _op = 1 to 20 + Random.State.int rng 30 do
+    match Random.State.int rng 100 with
+    | r when r < 25 ->
+        let c = random_body rng d in
+        Sat.Solver.add_clause s c;
+        sess.perm <- c :: sess.perm
+    | r when r < 50 ->
+        let body = random_body rng d in
+        let g, bodies, rest =
+          match sess.live with
+          | (g, bodies) :: rest when List.length sess.live >= 3 || Random.State.bool rng ->
+              (g, bodies, rest)
+          | _ -> (Sat.Solver.new_selector s, [], sess.live)
+        in
+        Sat.Solver.add_guarded s ~guard:g body;
+        sess.live <- rest @ [ (g, body :: bodies) ]
+    | r when r < 65 -> (
+        match sess.live with
+        | [] -> ()
+        | live ->
+            let g, _ = List.nth live (Random.State.int rng (List.length live)) in
+            Sat.Solver.retire s g;
+            sess.live <- List.filter (fun (g', _) -> g' <> g) live;
+            sess.retired <- g :: sess.retired)
+    | _ -> (
+        let selectors = List.map fst sess.live @ sess.retired in
+        let pick () =
+          if selectors <> [] && Random.State.int rng 3 = 0 then
+            let g = List.nth selectors (Random.State.int rng (List.length selectors)) in
+            if Random.State.int rng 4 = 0 then Sat.Lit.negate g else g
+          else Sat.Lit.make (Random.State.int rng d) (Random.State.bool rng)
+        in
+        let assumptions = List.init (Random.State.int rng 6) (fun _ -> pick ()) in
+        let budget =
+          if Random.State.int rng 5 = 0 then Some (Random.State.int rng 3) else None
+        in
+        let expected = reference_sat sess assumptions in
+        match Sat.Solver.solve ~assumptions ?conflict_budget:budget s with
+        | Sat.Solver.Sat ->
+            if not expected then Alcotest.fail "solver said SAT, brute force UNSAT";
+            check_model sess assumptions
+        | Sat.Solver.Unsat ->
+            if expected then Alcotest.fail "solver said UNSAT, brute force SAT"
+        | Sat.Solver.Unknown ->
+            if budget = None then Alcotest.fail "Unknown without a budget")
+  done
+
+let test_incremental_vs_brute_force () =
+  let rng = Random.State.make [| 2024 |] in
+  for _session = 1 to 400 do
+    run_session rng
+  done
+
+(* --- propagation allocates nothing ------------------------------------- *)
+
+(* x1 -> x2 -> ... -> xn: assuming x1 propagates the whole chain. *)
+let implication_chain n =
+  let s = mk n in
+  for i = 1 to n - 1 do
+    Sat.Solver.add_clause s [ lit (-i); lit (i + 1) ]
+  done;
+  s
+
+let test_propagation_allocates_nothing () =
+  let minor_words n =
+    let s = implication_chain n in
+    let solve () =
+      let before = Gc.minor_words () in
+      let r = Sat.Solver.solve ~assumptions:[ lit 1 ] s in
+      let after = Gc.minor_words () in
+      check_result "chain sat" true (is_sat r);
+      check_result "chain end forced" true (Sat.Solver.value s (n - 1));
+      after -. before
+    in
+    ignore (solve () : float);
+    (* the fewest of three calls: the process-wide latency histogram
+       that every solve feeds doubles its sample array now and then *)
+    List.fold_left min infinity (List.init 3 (fun _ -> solve ()))
+  in
+  let small = minor_words 1_000 and large = minor_words 50_000 in
+  Alcotest.(check (float 0.)) "same minor words for 1k and 50k chains" small large;
+  check_result
+    (Printf.sprintf "per-call constant is small (%.0f words)" small)
+    true (small < 256.)
+
 let qcheck_tseitin =
   (* Tseitin-encode a random 3-gate function two different ways and
      check equisatisfiability of the miter being 1/0. *)
@@ -394,6 +586,10 @@ let () =
             test_learned_clause_reuse;
           Alcotest.test_case "selector guards activate and retire" `Quick
             test_selector_guard_and_retire;
+          Alcotest.test_case "random sessions vs brute force" `Quick
+            test_incremental_vs_brute_force;
+          Alcotest.test_case "propagation allocates nothing" `Quick
+            test_propagation_allocates_nothing;
         ] );
       ( "tseitin",
         [ QCheck_alcotest.to_alcotest qcheck_tseitin ] );
