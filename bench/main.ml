@@ -3,7 +3,7 @@
    Usage:  main.exe [target] [--fast] [--json] [--trace]
 
    Targets: table1 table2 fig5 fig6 fig7 ablation micro parallel sat
-   absint lint all
+   lint all
    (default: all).  Each figure target regenerates the corresponding
    paper table/figure as text rows (variant, area, gate count, deltas vs
    the "Full" baseline); `micro` runs one Bechamel timing per
@@ -26,8 +26,8 @@
    By default Figure 7 runs on a scaled-down RIDECORE configuration
    (16-entry ROB / 48 physical registers) so the whole harness finishes
    in ~25 minutes; pass `--full` for the paper-scale 100k-gate core
-   (~8 minutes per variant).  Table II always reports the full-size
-   core. *)
+   (about 1 minute per variant on a 2-vCPU machine, RV32e about 3).
+   Table II always reports the full-size core. *)
 
 let fast = not (Array.exists (( = ) "--full") Sys.argv)
 let json = Array.exists (( = ) "--json") Sys.argv
@@ -97,13 +97,12 @@ let top_costs_json (stats : Engine.Induction.stats) =
        (fun (r : Obs.Attr.row) ->
          Printf.sprintf
            "{\"key\": \"%s\", \"shard\": %s, \"sat_calls\": %d, \
-            \"conflicts\": %d, \"wall_s\": %.4f, \"static\": %b}"
+            \"conflicts\": %d, \"wall_s\": %.4f}"
            (json_escape r.Obs.Attr.a_key)
            (match r.Obs.Attr.a_shard with
            | Some s -> string_of_int s
            | None -> "null")
-           r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s
-           r.Obs.Attr.a_static)
+           r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
        stats.Engine.Induction.top_costs)
 
 let counters_json cs =
@@ -597,117 +596,6 @@ let run_sat () =
          s_snap.Engine.Induction.sat_calls s_inc.Engine.Induction.sat_calls
          (top_costs_json s_inc))
 
-(* --- absint: static tier + induction strengthening ---------------------- *)
-
-let run_absint () =
-  Format.printf
-    "== Abstract-interpretation tier: Ibex fig5 kernel (cutpoint, rv32i) ==@.";
-  let t = Cores.Ibex_like.build () in
-  let d = t.Cores.Ibex_like.design in
-  let env =
-    Pdat.Environment.riscv_cutpoint d ~nets:(Cores.Ibex_like.cutpoint_nets t)
-      Isa.Subset.rv32i
-  in
-  let model = env.Pdat.Environment.model in
-  let assume = env.Pdat.Environment.assume in
-  let rsim = { Engine.Rsim.default with Engine.Rsim.cycles = 400; runs = 2 } in
-  let mined =
-    Pdat.Property_library.mine ~config:rsim ~model ~assume
-      ~stimulus:env.Pdat.Environment.stimulus ()
-    |> Pdat.Property_library.restrict_to_original ~original:d
-    |> Engine.Rsim.refine ~config:rsim ~assume model
-         env.Pdat.Environment.stimulus
-  in
-  (* same deterministic stride sample as the sat target, same rationale *)
-  let stride = 5 in
-  let candidates =
-    if fast then List.filteri (fun i _ -> i mod stride = 0) mined else mined
-  in
-  Format.printf "%d candidates after refinement%s@." (List.length candidates)
-    (if List.compare_length_with mined (List.length candidates) > 0 then
-       Printf.sprintf " (fast mode: 1-in-%d sample of %d)" stride
-         (List.length mined)
-     else "");
-  let timed f =
-    let t0 = Obs.Clock.now_s () in
-    let r = f () in
-    (r, Obs.Clock.now_s () -. t0)
-  in
-  let ai, t_fix = timed (fun () -> Engine.Absint.run ~assume model) in
-  Format.printf
-    "abstract fixpoint: %d facts in %d iteration(s), %.2fs%s@."
-    (Engine.Absint.n_facts ai) (Engine.Absint.iterations ai) t_fix
-    (if Engine.Absint.contradiction ai then " (CONTRADICTION: no facts)"
-     else "");
-  let opts =
-    { Engine.Induction.k = 1; call_conflict_budget = 30_000;
-      total_conflict_budget = -1; time_budget_s = infinity }
-  in
-  let (p_off, s_off), t_off =
-    timed (fun () ->
-        Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~assume model
-          candidates)
-  in
-  let (p_on, s_on), t_on =
-    timed (fun () ->
-        Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~absint:ai
-          ~assume model candidates)
-  in
-  let static = s_on.Engine.Induction.n_static_proved in
-  let sorted l = List.sort Engine.Candidate.compare l in
-  let off_tbl = Hashtbl.create 256 in
-  List.iter (fun c -> Hashtbl.replace off_tbl c ()) p_off;
-  let gained = List.filter (fun c -> not (Hashtbl.mem off_tbl c)) p_on in
-  (* strengthening wins = newly proved candidates the static tier did
-     not already discharge by itself *)
-  let strengthened =
-    List.filter (fun c -> not (Engine.Absint.proves ai c)) gained
-  in
-  Format.printf
-    "absint off: proved %d in %.2fs (%d SAT calls)@." (List.length p_off)
-    t_off s_off.Engine.Induction.sat_calls;
-  Format.printf
-    "absint on : proved %d in %.2fs (%d SAT calls, %d static-proved, %d \
-     strengthening facts)@."
-    (List.length p_on) t_on s_on.Engine.Induction.sat_calls static
-    s_on.Engine.Induction.strengthening_facts;
-  (* adding sound assumptions can only grow the mutual-induction
-     greatest fixpoint, so the absint-on proved set must contain the
-     absint-off one *)
-  let monotone =
-    List.for_all (fun c -> List.mem c (sorted p_on)) (sorted p_off)
-  in
-  if not monotone then begin
-    Format.eprintf "FAIL: absint-on proved set lost a candidate@.";
-    exit 1
-  end;
-  if static = 0 then begin
-    Format.eprintf
-      "FAIL: static tier discharged no candidate on the ibex kernel@.";
-    exit 1
-  end;
-  Format.printf
-    "static tier discharged %d candidate(s); strengthening proved %d more@."
-    static (List.length strengthened);
-  if json then
-    write_bench_json "absint"
-      (Printf.sprintf
-         "  \"candidates\": %d,\n  \"facts\": %d,\n  \
-          \"fixpoint_iterations\": %d,\n  \"fixpoint_s\": %.3f,\n  \
-          \"static_discharged\": %d,\n  \"strengthening_facts\": %d,\n  \
-          \"strengthened_proved\": %d,\n  \"proved_off\": %d,\n  \
-          \"proved_on\": %d,\n  \"t_prove_off_s\": %.3f,\n  \
-          \"t_prove_on_s\": %.3f,\n  \"sat_calls_off\": %d,\n  \
-          \"sat_calls_on\": %d,\n  \"cores\": %d,\n  \
-          \"jobs_effective\": %d,\n  \"top_costs\": [%s]\n"
-         (List.length candidates) (Engine.Absint.n_facts ai)
-         (Engine.Absint.iterations ai) t_fix static
-         s_on.Engine.Induction.strengthening_facts
-         (List.length strengthened) (List.length p_off) (List.length p_on)
-         t_off t_on s_off.Engine.Induction.sat_calls
-         s_on.Engine.Induction.sat_calls (Obs.Hw.online_cores ()) 1
-         (top_costs_json s_on))
-
 (* With --trace, each target records spans for its whole run and writes
    them as TRACE_<target>.json; the file is written even when the target
    fails so the trace of a failing run is not lost. *)
@@ -747,7 +635,6 @@ let () =
     | "micro" -> run_micro ()
     | "parallel" -> run_parallel ()
     | "sat" -> run_sat ()
-    | "absint" -> run_absint ()
     | "lint" -> run_lint ()
     | "all" ->
         run_table1 ();
@@ -759,7 +646,6 @@ let () =
         run_micro ();
         run_parallel ();
         run_sat ();
-        run_absint ();
         run_lint ()
     | other ->
         Format.eprintf "unknown target %s@." other;

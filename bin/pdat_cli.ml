@@ -41,16 +41,6 @@ let cache_dir_arg =
 
 let make_cache = Option.map (fun d -> Engine.Proof_cache.create ~dir:d ())
 
-let absint_flag =
-  let doc =
-    "Enable the abstract-interpretation static tier: an over-approximate \
-     ternary/known-bits fixpoint under the environment assumption \
-     discharges candidates whose violation is unreachable without touching \
-     SAT, and feeds the remaining solver calls statically proven facts as \
-     strengthening assumptions (also enabled by \\$(b,PDAT_ABSINT))."
-  in
-  Arg.(value & flag & info [ "absint" ] ~doc)
-
 let retries_arg =
   let doc =
     "Per-shard retry budget of the supervised proof workers (defaults to \
@@ -276,7 +266,7 @@ let reduce_cmd =
   let port_flag =
     Arg.(value & flag & info [ "port" ] ~doc:"Force port-based constraints.")
   in
-  let run fast jobs cache_dir absint core subset_name port out validate
+  let run fast jobs cache_dir core subset_name port out validate
       time_budget lint inject_kind trace log metrics_out run_dir resume
       retries =
     if inject_kind <> None && not validate then begin
@@ -294,8 +284,7 @@ let reduce_cmd =
     in
     let result =
       match
-        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir)
-          ?absint:(if absint then Some true else None) ~validate
+        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint ?inject
           ?trace:(Option.map Obs.sink_of_path trace) ?log ?metrics_out
           ?run_dir ~resume ?retries ~design ~env ()
@@ -331,8 +320,8 @@ let reduce_cmd =
   Cmd.v
     (Cmd.info "reduce"
        ~doc:"Reduce a core for an ISA subset and optionally export Verilog")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ absint_flag
-          $ core_arg $ subset_arg $ port_flag $ out_arg $ validate_flag
+    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ core_arg
+          $ subset_arg $ port_flag $ out_arg $ validate_flag
           $ time_budget_arg $ lint_gate_arg $ inject_arg $ trace_arg $ log_arg
           $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
 
@@ -446,8 +435,8 @@ let report_cmd =
     in
     Arg.(value & opt string "." & info [ "out-dir" ] ~doc ~docv:"DIR")
   in
-  let run fast jobs cache_dir absint core subset_name port validate
-      time_budget dump_cex out_dir log metrics_out run_dir resume retries =
+  let run fast jobs cache_dir core subset_name port validate time_budget
+      dump_cex out_dir log metrics_out run_dir resume retries =
     if resume && run_dir = None then begin
       Format.eprintf "--resume needs --run-dir to locate the journal@.";
       exit 1
@@ -457,8 +446,7 @@ let report_cmd =
     let prov = Report.Provenance.create () in
     let result =
       match
-        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir)
-          ?absint:(if absint then Some true else None) ~validate
+        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint:Analysis.Lint.Warn ~provenance:prov ?dump_cex
           ?log ?metrics_out ?run_dir ~resume ?retries ~design ~env ()
       with
@@ -512,8 +500,8 @@ let report_cmd =
        ~doc:
          "Run the pipeline with full provenance tracking and emit the \
           machine-readable and human run reports")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ absint_flag
-          $ core_arg $ subset_arg $ port_flag $ validate_flag
+    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ core_arg
+          $ subset_arg $ port_flag $ validate_flag
           $ time_budget_arg $ dump_cex_arg $ out_dir_arg $ log_arg
           $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
 

@@ -76,9 +76,6 @@ type report = {
   jobs : int;
       (** worker processes the proof stage was allowed, after clamping
           the request to the online core count *)
-  absint : bool;
-      (** the abstract-interpretation tier ran in front of the prover
-          (static discharge + induction strengthening) *)
   proof_budget_s : float;
       (** wall-clock granted to the proof stage by the budget allocator;
           [0.] when the run had no [~time_budget] *)
@@ -119,11 +116,6 @@ val max_cex_dumps : int
 (** Cap on waveforms written per run by [?dump_cex] (records are
     visited in provenance-id order, so the sample is deterministic). *)
 
-val default_absint : unit -> bool
-(** The absint setting used when [run] gets no [?absint]: the
-    [PDAT_ABSINT] environment variable ("1"/"true"/"on"/"yes" — default
-    off). *)
-
 val run :
   ?rsim:Engine.Rsim.config ->
   ?refine:Engine.Rsim.config ->
@@ -160,21 +152,10 @@ val run :
     given, settles previously-decided candidates without SAT and is
     flushed to disk (when disk-backed) right after the proof stage.
 
-    [sieve] is ignored: nothing reads it.  It is kept only so that
-    callers written when it switched on the (since removed)
-    simulation-signature sieve still compile.
-
-    [absint] (default {!default_absint}, i.e. [PDAT_ABSINT]) runs the
-    abstract interpreter ({!Engine.Absint}) over the environment model
-    before the proof stage: candidates its conditioned post-fixpoint
-    already proves are discharged statically ([V_static_proved], no SAT
-    call) and its remaining facts strengthen k=1 induction as
-    every-frame assumption clauses.  Because strengthening changes what
-    a run can prove, the absint facts digest salts the proof-cache
-    scope and the shard fingerprints, and the run digest carries an
-    absint marker — a journal written with one setting refuses to
-    resume under the other ({!Journal.Mismatch}) instead of silently
-    replaying a different proved set.
+    [sieve] and [absint] are ignored: nothing reads them.  They are
+    kept only so that callers written when they switched on the (since
+    removed) simulation-signature sieve and abstract-interpretation
+    prover tier still compile.
 
     [validate] (default [false]) enables differential validation; on a
     divergence or an uncomparable interface the result falls back to

@@ -1,24 +1,13 @@
 module D = Netlist.Design
 module C = Netlist.Cell
 
-type word_fact = {
-  w_base : string;
-  w_width : int;
-  w_known_mask : int64;
-  w_known_value : int64;
-  w_lo : int64;
-  w_hi : int64;
-}
-
 type t = {
   design : D.t;
   sched : Netlist.Topo.schedule;
   values : int array;  (* post-fixpoint values conditioned on assume *)
-  assume : D.net;
   iterations : int;
   contradiction : bool;
   is_input : bool array;
-  digest : string;
 }
 
 exception Contradiction
@@ -71,17 +60,15 @@ let backward_cell kind v_out ins_vals =
       done;
       out
 
-(* Refine [v] in place under equality constraints, alternating a
-   backward (reverse-topological) and a forward (meet with re-
-   evaluation) sweep until nothing changes.  Each sweep only moves
-   values down the x -> {0,1} lattice, so termination is by net count;
-   the pass bound is just a safety valve.
-   @raise Contradiction when the constraint set is unsatisfiable in
-   the cube. *)
-let condition d sched (v : int array) constraints =
-  List.iter
-    (fun (n, b) -> v.(n) <- meet v.(n) (Bool.to_int b))
-    constraints;
+(* Refine [v] in place under [assume = 1], alternating a backward
+   (reverse-topological) and a forward (meet with re-evaluation) sweep
+   until nothing changes.  Each sweep only moves values down the
+   x -> {0,1} lattice, so termination is by net count; the pass bound
+   is just a safety valve.
+   @raise Contradiction when the assumption is unsatisfiable in the
+   cube. *)
+let condition d sched (v : int array) assume =
+  v.(assume) <- meet v.(assume) 1;
   let order = sched.Netlist.Topo.order in
   let changed = ref true in
   let passes = ref 0 in
@@ -171,7 +158,7 @@ let run ?(classify = fun _ -> Ternary.Free) ?max_iterations ~assume d =
     if i > limit then failwith "Absint.run: no convergence";
     iterations := i;
     let v = eval_from_state () in
-    match condition d sched v [ (assume, true) ] with
+    match condition d sched v assume with
     | exception Contradiction -> contradiction := true
     | () ->
         let changed = ref false in
@@ -191,42 +178,24 @@ let run ?(classify = fun _ -> Ternary.Free) ?max_iterations ~assume d =
     if !contradiction then Array.make n_nets Ternary.x
     else begin
       let v = eval_from_state () in
-      (match condition d sched v [ (assume, true) ] with
+      (match condition d sched v assume with
       | exception Contradiction -> contradiction := true
       | () -> ());
       if !contradiction then Array.make n_nets Ternary.x else v
     end
   in
-  let digest =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "pdat-absint-v1\n";
-    Buffer.add_string buf (if !contradiction then "contradiction\n" else "ok\n");
-    Array.iteri
-      (fun n v ->
-        if v <> Ternary.x then begin
-          Buffer.add_string buf (string_of_int n);
-          Buffer.add_char buf '=';
-          Buffer.add_string buf (string_of_int v);
-          Buffer.add_char buf '\n'
-        end)
-      values;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-  in
   {
     design = d;
     sched;
     values;
-    assume;
     iterations = !iterations;
     contradiction = !contradiction;
     is_input;
-    digest;
   }
 
 let iterations t = t.iterations
 let contradiction t = t.contradiction
 let value t n = t.values.(n)
-let facts_digest t = t.digest
 
 let constants t =
   if t.contradiction then []
@@ -237,98 +206,6 @@ let constants t =
         out := Candidate.Const (n, t.values.(n) = 1) :: !out
     done;
     !out
-  end
-
-let facts = constants
-let n_facts t = List.length (constants t)
-
-let proves t cand =
-  if t.contradiction then false
-  else
-    match cand with
-    | Candidate.Const (n, b) -> t.values.(n) = Bool.to_int b
-    | Candidate.Implies { a; b; _ } ->
-        t.values.(a) = 0 || t.values.(b) = 1
-        (* with a constant-1 antecedent, conditioning on it is a no-op
-           and the direct lookup above was already the full answer *)
-        || t.values.(a) <> 1
-           && begin
-             (* condition the post-fixpoint cube on the antecedent: a
-                contradiction means the antecedent never fires in an
-                assumed reachable state, which proves the implication
-                vacuously *)
-             let v = Array.copy t.values in
-             match condition t.design t.sched v [ (a, true) ] with
-             | exception Contradiction -> true
-             | () -> v.(b) = 1
-           end
-
-let word_facts t =
-  if t.contradiction then []
-  else begin
-    let d = t.design in
-    let n_nets = D.num_nets d in
-    let groups : (string, (int * D.net) list ref) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let add name net =
-      match String.index_opt name '[' with
-      | None -> ()
-      | Some l ->
-          let len = String.length name in
-          if len > l + 1 && name.[len - 1] = ']' then
-            match int_of_string_opt (String.sub name (l + 1) (len - l - 2)) with
-            | Some i when i >= 0 ->
-                let base = String.sub name 0 l in
-                let cell =
-                  match Hashtbl.find_opt groups base with
-                  | Some r -> r
-                  | None ->
-                      let r = ref [] in
-                      Hashtbl.add groups base r;
-                      r
-                in
-                cell := (i, net) :: !cell
-            | _ -> ()
-    in
-    List.iter (fun (nm, n) -> add nm n) (D.inputs d);
-    List.iter (fun (nm, n) -> add nm n) (D.outputs d);
-    for n = 0 to n_nets - 1 do
-      if not t.is_input.(n) then add (D.net_name d n) n
-    done;
-    let out = ref [] in
-    Hashtbl.iter
-      (fun base bits ->
-        let width =
-          List.fold_left (fun acc (i, _) -> max acc (i + 1)) 0 !bits
-        in
-        if width >= 1 && width <= 63 then begin
-          let known_mask = ref 0L and known_value = ref 0L in
-          List.iter
-            (fun (i, n) ->
-              let v = t.values.(n) in
-              if v <> Ternary.x then begin
-                known_mask := Int64.logor !known_mask (Int64.shift_left 1L i);
-                if v = 1 then
-                  known_value :=
-                    Int64.logor !known_value (Int64.shift_left 1L i)
-              end)
-            !bits;
-          let all = Int64.sub (Int64.shift_left 1L width) 1L in
-          let unknown = Int64.logand all (Int64.lognot !known_mask) in
-          out :=
-            {
-              w_base = base;
-              w_width = width;
-              w_known_mask = !known_mask;
-              w_known_value = !known_value;
-              w_lo = !known_value;
-              w_hi = Int64.logor !known_value unknown;
-            }
-            :: !out
-        end)
-      groups;
-    List.sort (fun a b -> compare a.w_base b.w_base) !out
   end
 
 let stuck_registers t =

@@ -34,8 +34,6 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   worker_seconds : float;
-  n_static_proved : int;
-  strengthening_facts : int;
   top_costs : Obs.Attr.row list;
   worker_wall_max_s : float;
   worker_wall_mean_s : float;
@@ -64,8 +62,6 @@ let blank_stats =
     cache_hits = 0;
     cache_misses = 0;
     worker_seconds = 0.;
-    n_static_proved = 0;
-    strengthening_facts = 0;
     top_costs = [];
     worker_wall_max_s = 0.;
     worker_wall_mean_s = 0.;
@@ -101,9 +97,6 @@ let pp_stats fmt s =
   if s.cache_hits + s.cache_misses > 0 then
     Format.fprintf fmt " cache=%d/%d hits" s.cache_hits
       (s.cache_hits + s.cache_misses);
-  if s.n_static_proved > 0 || s.strengthening_facts > 0 then
-    Format.fprintf fmt " absint=%d static (%d strengthening facts)"
-      s.n_static_proved s.strengthening_facts;
   if s.worker_wall_max_s > 0. then
     Format.fprintf fmt " balance=max %.2fs mean %.2fs idle %.0f%%"
       s.worker_wall_max_s s.worker_wall_mean_s (100. *. s.worker_idle_frac)
@@ -119,7 +112,6 @@ type verdict =
   | V_not_inductive
   | V_dropped of string
   | V_cached of Proof_cache.verdict
-  | V_static_proved
 
 let verdict_label = function
   | V_proved _ -> "proved"
@@ -129,10 +121,9 @@ let verdict_label = function
   | V_dropped _ -> "dropped"
   | V_cached Proof_cache.Proved -> "cached-proved"
   | V_cached Proof_cache.Disproved -> "cached-disproved"
-  | V_static_proved -> "static-proved"
 
 let verdict_proves = function
-  | V_proved _ | V_cached Proof_cache.Proved | V_static_proved -> true
+  | V_proved _ | V_cached Proof_cache.Proved -> true
   | V_refuted _ | V_sim_killed | V_not_inductive | V_dropped _
   | V_cached Proof_cache.Disproved ->
       false
@@ -693,11 +684,8 @@ let prove_snapshot ?(options = default_options) ?(known = [])
    keys: the journal checkpoints proved sets under this fingerprint, and
    a resumed run recognizes its shards by it even though pids, fds and
    timings all differ. *)
-let shard_fingerprint ?salt cands =
+let shard_fingerprint cands =
   let keys = List.sort compare (List.map Candidate.key cands) in
-  let keys =
-    match salt with None -> keys | Some s -> ("salt " ^ s) :: keys
-  in
   Digest.to_hex (Digest.string (String.concat "\n" keys))
 
 let env_int name default =
@@ -742,7 +730,7 @@ type attribution = {
 }
 
 let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
-    ?absint ?attributions ?retries ?checkpoint ?(recovered = []) ?sieve:_
+    ?attributions ?retries ?checkpoint ?(recovered = []) ?sieve:_
     ~assume d candidate_list =
   let retries = match retries with Some r -> max 0 r | None -> default_retries () in
   let attr0 = Obs.Attr.export () in
@@ -752,41 +740,8 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
     | None -> ()
     | Some tbl -> Hashtbl.replace tbl cand { verdict; shard; cache_hit }
   in
-  (* ---- static tier -----------------------------------------------------
-     The abstract interpreter settles every candidate whose violation is
-     impossible in its conditioned post-fixpoint before anything touches
-     SAT; the remaining facts it proved become strengthening invariants,
-     asserted at every frame of every solver below.  Both change what a
-     run can prove, so the facts digest salts the cache scope and the
-     shard fingerprints: strengthened and unstrengthened runs must never
-     share cache entries or journal checkpoints. *)
-  let static_proved, candidate_list_work, strengthen, fp_salt =
-    match absint with
-    | None -> ([], candidate_list, [], None)
-    | Some ai ->
-        let sp, rest =
-          Obs.with_span ~cat:"prove" "static-tier" (fun () ->
-              List.partition (Absint.proves ai) candidate_list)
-        in
-        List.iter
-          (fun cand ->
-            attribute cand V_static_proved None false;
-            Obs.Attr.note_static (Candidate.key cand))
-          sp;
-        let in_cands = Hashtbl.create 64 in
-        List.iter (fun c -> Hashtbl.replace in_cands c ()) candidate_list;
-        let strengthen =
-          List.filter (fun f -> not (Hashtbl.mem in_cands f)) (Absint.facts ai)
-        in
-        Obs.add_int "absint.static_proved" (List.length sp);
-        Obs.add_int "absint.strengthening_facts" (List.length strengthen);
-        (sp, rest, strengthen, Some (Absint.facts_digest ai))
-  in
-  let shard_fingerprint cands = shard_fingerprint ?salt:fp_salt cands in
   let sc =
-    Option.map
-      (fun c -> (c, Proof_cache.scope ?salt:fp_salt c ~design:d ~assume))
-      cache
+    Option.map (fun c -> (c, Proof_cache.scope c ~design:d ~assume)) cache
   in
   (* split the input into cache-resolved candidates and genuine work *)
   let cached_proved = ref [] and fresh = ref [] in
@@ -807,12 +762,8 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
           | None ->
               incr misses;
               fresh := cand :: !fresh))
-    candidate_list_work;
-  let known = static_proved @ List.rev !cached_proved in
-  (* what the solvers may assume at every frame: settled input candidates
-     plus facts the interpreter proved about nets outside the candidate
-     set (never part of the returned proved list) *)
-  let solver_known = known @ strengthen in
+    candidate_list;
+  let known = List.rev !cached_proved in
   let fresh = List.rev !fresh in
   let n_total = List.length candidate_list in
   let position = Hashtbl.create (max 16 n_total) in
@@ -876,14 +827,12 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
         cache_hits = !hits;
         cache_misses = !misses;
         worker_seconds;
-        n_static_proved = List.length static_proved;
-        strengthening_facts = List.length strengthen;
       } )
   in
   let serial () =
     let fates = if want_fates then Some (Hashtbl.create 64) else None in
     let proved, st =
-      prove ~options ?cex ~known:solver_known ?fates ~assume d fresh
+      prove ~options ?cex ~known ?fates ~assume d fresh
     in
     (match fates with
     | None -> ()
@@ -1017,7 +966,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
                        (fun () ->
                          prove
                            ~options:(worker_options (List.length shard))
-                           ~known:solver_known
+                           ~known
                            ~hypotheses:
                              (hypotheses_for (List.nth shard_tbls idx))
                            ?fates ~assume d shard)
@@ -1139,7 +1088,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
             in
             let settled =
               !hits
-              + List.length static_proved
               + List.fold_left
                   (fun acc (idx, _) -> acc + shard_size.(idx))
                   0 !ok_results
@@ -1293,7 +1241,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
                     (fun () ->
                       prove
                         ~options:(worker_options (List.length shard))
-                        ~known:solver_known
+                        ~known
                         ~hypotheses:(hypotheses_for (List.nth shard_tbls idx))
                         ?fates ~assume d shard))
             in
@@ -1380,7 +1328,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       let join_fates = if want_fates then Some (Hashtbl.create 64) else None in
       let joined, jst =
         Obs.with_span ~cat:"prove" "join-round" (fun () ->
-            prove ~options ?cex ~known:solver_known ?fates:join_fates ~assume d
+            prove ~options ?cex ~known ?fates:join_fates ~assume d
               survivors)
       in
       (* the join round has the final word on shard survivors; keep the

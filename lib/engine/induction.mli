@@ -57,17 +57,11 @@ type stats = {
   cache_hits : int;       (** candidates resolved from the proof cache *)
   cache_misses : int;     (** candidates the cache had no verdict for *)
   worker_seconds : float; (** wall-clock of the fork/collect span *)
-  n_static_proved : int;
-      (** candidates discharged by the abstract-interpretation tier
-          without any SAT call *)
-  strengthening_facts : int;
-      (** absint invariants outside the candidate set asserted at every
-          frame of every solver (k=1 induction strengthening) *)
   top_costs : Obs.Attr.row list;
       (** deterministic top-K most expensive candidates of this run
           ({!Obs.Attr.top} over the run's attribution delta): ranked by
           conflicts, then SAT calls, then key — never by wall time, so
-          for a fixed configuration (same jobs/absint) the table is
+          for a fixed configuration (same jobs) the table is
           byte-reproducible run to run.  Aggregate-round costs are
           shared equally among the candidates the round refuted; rows
           carry the shard that settled them *)
@@ -108,17 +102,13 @@ type verdict =
           SAT call, an exhausted budget, a lost worker — the reason
           string says which *)
   | V_cached of Proof_cache.verdict  (** settled by the proof cache *)
-  | V_static_proved
-      (** discharged by the abstract-interpretation tier: the
-          candidate's violation is impossible in the conditioned
-          post-fixpoint, so it never touched SAT *)
 
 val verdict_label : verdict -> string
 (** Short stable tag ("proved", "refuted", ...) for reports. *)
 
 val verdict_proves : verdict -> bool
 (** Whether the verdict counts as a proof the rewiring stage may cite:
-    [V_proved], [V_cached Proved] and [V_static_proved]. *)
+    [V_proved] and [V_cached Proved]. *)
 
 type attribution = {
   verdict : verdict;
@@ -184,20 +174,17 @@ val prove_snapshot :
     {!prove}'s.  No counterexample propagation and no fates: this is a
     measurement and verification artifact, not a production path. *)
 
-val shard_fingerprint : ?salt:string -> Candidate.t list -> string
+val shard_fingerprint : Candidate.t list -> string
 (** Content digest of a shard's candidate set (order-independent, over
     {!Candidate.key}s).  This is the name under which the run journal
     checkpoints a shard's proved set, and the name a resumed run uses
-    to recognize it.  [salt] — the absint facts digest on strengthened
-    runs — keeps checkpoints written with different strengthening sets
-    from resuming each other. *)
+    to recognize it. *)
 
 val prove_parallel :
   ?options:options ->
   ?cex:Stimulus.t * int ->
   ?jobs:int ->
   ?cache:Proof_cache.t ->
-  ?absint:Absint.t ->
   ?attributions:(Candidate.t, attribution) Hashtbl.t ->
   ?retries:int ->
   ?checkpoint:(string -> Candidate.t list -> unit) ->
@@ -211,13 +198,6 @@ val prove_parallel :
     the proved set of the serial {!prove} (when neither is cut short by
     budgets):
 
-    - when [absint] is given, its static tier runs first: candidates
-      the abstract post-fixpoint already proves get [V_static_proved]
-      and never touch SAT, the interpreter's remaining facts are
-      asserted at every frame of every solver below (strengthening),
-      and the facts digest salts both the cache scope and the shard
-      fingerprints so strengthened runs share nothing with
-      unstrengthened ones,
     - candidates with a cached verdict are settled up front; cached
       proofs join the run as [known] invariants,
     - the rest are partitioned by {!Shard.partition} and proved in

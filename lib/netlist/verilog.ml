@@ -106,9 +106,10 @@ let tokenize src =
             let close = find (!i + 2) in
             let body = String.sub src (!i + 2) (close - !i - 2) in
             (match String.split_on_char '=' body with
-            | [ k; v ] ->
-                toks :=
-                  Attr (String.trim k, int_of_string (String.trim v)) :: !toks
+            | [ k; v ] -> (
+                match int_of_string_opt (String.trim v) with
+                | Some v -> toks := Attr (String.trim k, v) :: !toks
+                | None -> fail ("bad attribute value: " ^ body))
             | _ -> fail ("bad attribute: " ^ body));
             i := close + 2
       end
@@ -170,6 +171,13 @@ let of_string ?name src =
   Hashtbl.replace nets "1'b0" Design.net_false;
   Hashtbl.replace nets "1'b1" Design.net_true;
   let outputs = ref [] in
+  (* a net already driven by a cell (or a rail) or by an input port must
+     not get a second driver *)
+  let drive ?init kind ins ~out nm =
+    if Design.driver_kind d out <> `Floating then
+      raise (Parse_error (Printf.sprintf "net %s driven twice" nm));
+    Design.add_cell_out d ?init kind ins ~out
+  in
   let net_of nm =
     match Hashtbl.find_opt nets nm with
     | Some n -> n
@@ -224,7 +232,7 @@ let of_string ?name src =
           (* net alias: emit a buffer *)
           let src_net = net_of rhs in
           (match Hashtbl.find_opt nets lhs with
-          | Some existing -> Design.add_cell_out d Cell.Buf [| src_net |] ~out:existing
+          | Some existing -> drive Cell.Buf [| src_net |] ~out:existing lhs
           | None ->
               let out = Design.add_cell d Cell.Buf [| src_net |] in
               Hashtbl.replace nets lhs out)
@@ -277,7 +285,7 @@ let of_string ?name src =
                 in
                 (match Hashtbl.find_opt nets nm with
                 | Some existing when existing <> rail ->
-                    Design.add_cell_out d Cell.Buf [| rail |] ~out:existing
+                    drive Cell.Buf [| rail |] ~out:existing nm
                 | Some _ -> ()
                 | None -> Hashtbl.replace nets nm rail)
             | _ ->
@@ -285,10 +293,11 @@ let of_string ?name src =
                   Array.init (Cell.arity kind) (fun i ->
                       pin (Cell.input_pin_name kind i))
                 in
-                let out = pin (Cell.output_pin_name kind) in
+                let out_pin = Cell.output_pin_name kind in
+                let out = pin out_pin in
                 let init = !pending_init = 1 in
                 pending_init := 0;
-                Design.add_cell_out d ~init kind ins ~out);
+                drive ~init kind ins ~out (Hashtbl.find pins out_pin));
             body ()
       end
     | _ -> raise (Parse_error "unexpected token in module body")

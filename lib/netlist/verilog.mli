@@ -13,6 +13,8 @@ val write_file : Design.t -> string -> unit
 exception Parse_error of string
 
 val of_string : ?name:string -> string -> Design.t
-(** @raise Parse_error on malformed input or unknown cell names. *)
+(** @raise Parse_error on malformed input, unknown cell names, a
+    non-integer attribute value, or a net driven twice (two cells on
+    one wire, or a cell or [assign] onto an input port). *)
 
 val read_file : string -> Design.t

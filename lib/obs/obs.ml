@@ -240,7 +240,6 @@ module Attr = struct
     a_wall_s : float;
     a_sat_calls : int;
     a_conflicts : int;
-    a_static : bool;
   }
 
   let atbl : (string, row) Hashtbl.t = Hashtbl.create 64
@@ -256,7 +255,6 @@ module Attr = struct
       a_wall_s = 0.;
       a_sat_calls = 0;
       a_conflicts = 0;
-      a_static = false;
     }
 
   let find key =
@@ -283,10 +281,6 @@ module Attr = struct
             a_conflicts = r.a_conflicts + conflicts;
           }
 
-  let note_static key =
-    let r = find key in
-    Hashtbl.replace atbl key { r with a_static = true }
-
   let export () =
     Hashtbl.fold (fun _ r acc -> r :: acc) atbl []
     |> List.sort (fun a b -> compare a.a_key b.a_key)
@@ -304,7 +298,6 @@ module Attr = struct
                 a_wall_s = o.a_wall_s +. r.a_wall_s;
                 a_sat_calls = o.a_sat_calls + r.a_sat_calls;
                 a_conflicts = o.a_conflicts + r.a_conflicts;
-                a_static = o.a_static || r.a_static;
               })
       rows
 
@@ -322,16 +315,9 @@ module Attr = struct
                 a_wall_s = r.a_wall_s -. o.a_wall_s;
                 a_sat_calls = r.a_sat_calls - o.a_sat_calls;
                 a_conflicts = r.a_conflicts - o.a_conflicts;
-                (* static only counts if set within the window — an
-                   earlier run's static discharges must not leak into
-                   this run's table *)
-                a_static = r.a_static && not o.a_static;
               }
         in
-        if
-          d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_wall_s = 0.
-          && not d.a_static
-        then None
+        if d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_wall_s = 0. then None
         else Some d)
       rows
 

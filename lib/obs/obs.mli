@@ -120,8 +120,6 @@ module Attr : sig
     a_wall_s : float;     (** solver wall time billed to this key *)
     a_sat_calls : int;
     a_conflicts : int;
-    a_static : bool;      (** discharged by the abstract-interpretation
-                              tier without SAT *)
   }
 
   val set_shard : int option -> unit
@@ -134,9 +132,6 @@ module Attr : sig
   val charge_call : wall_s:float -> conflicts:int -> unit
   (** Bill one SAT call to the key in scope (no-op without one) — the
       call site is the solver's solve wrapper. *)
-
-  val note_static : string -> unit
-  (** Mark the key as discharged by the static tier. *)
 
   val export : unit -> row list
   (** All rows, sorted by key — the marshalable worker payload. *)

@@ -71,7 +71,6 @@ type summary = {
   s_dropped : int;
   s_cached_proved : int;
   s_cached_disproved : int;
-  s_static_proved : int;
   s_unresolved : int;
   s_with_cex : int;
 }
@@ -89,7 +88,6 @@ let summarize records =
         s_dropped = 0;
         s_cached_proved = 0;
         s_cached_disproved = 0;
-        s_static_proved = 0;
         s_unresolved = 0;
         s_with_cex = 0;
       }
@@ -121,15 +119,7 @@ let summarize records =
                   s_cached_proved = t.s_cached_proved + 1;
                 }
             | I.V_cached Engine.Proof_cache.Disproved ->
-                { t with s_cached_disproved = t.s_cached_disproved + 1 }
-            | I.V_static_proved ->
-                (* statically discharged candidates are proofs: the
-                   rewiring stage may cite them like any other invariant *)
-                {
-                  t with
-                  s_proved = t.s_proved + 1;
-                  s_static_proved = t.s_static_proved + 1;
-                })))
+                { t with s_cached_disproved = t.s_cached_disproved + 1 })))
     records;
   !s
 
@@ -232,9 +222,7 @@ let cand_json prov (r : P.cand_record) =
                 | Some c -> [ ("cex_frames", string_of_int (Engine.Cex.length c)) ]
                 | None -> [])
           | I.V_dropped reason -> [ ("reason", jstr reason) ]
-          | I.V_sim_killed | I.V_not_inductive | I.V_cached _
-          | I.V_static_proved ->
-              [])
+          | I.V_sim_killed | I.V_not_inductive | I.V_cached _ -> [])
       | Unresolved -> [])
   in
   let cex_field =
@@ -274,7 +262,6 @@ let attr_row_json (r : Obs.Attr.row) =
       ("shard", jopt_int r.Obs.Attr.a_shard);
       ("sat_calls", string_of_int r.Obs.Attr.a_sat_calls);
       ("conflicts", string_of_int r.Obs.Attr.a_conflicts);
-      ("static", string_of_bool r.Obs.Attr.a_static);
     ]
 
 let json ?(target = "design") ?induction ?resume prov =
@@ -296,7 +283,6 @@ let json ?(target = "design") ?induction ?resume prov =
         ("dropped", string_of_int s.s_dropped);
         ("cached_proved", string_of_int s.s_cached_proved);
         ("cached_disproved", string_of_int s.s_cached_disproved);
-        ("static_proved", string_of_int s.s_static_proved);
         ("unresolved", string_of_int s.s_unresolved);
         ("with_counterexample", string_of_int s.s_with_cex);
         ("edits", string_of_int (List.length edits));
@@ -438,9 +424,6 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
     s.s_proved s.s_refuted s.s_not_inductive s.s_sim_killed s.s_dropped
     s.s_cached_proved
     (s.s_cached_proved + s.s_cached_disproved);
-  if s.s_static_proved > 0 then
-    pr "| absint | %d static-proved | discharged without SAT |\n"
-      s.s_static_proved;
   pr "| rewire | %d edits | %d original cells made dead |\n"
     (List.length edits) dead_total;
   (match P.designs prov with
@@ -569,17 +552,15 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
   | Some (st : I.stats) ->
       if st.I.top_costs <> [] then begin
         pr "\n## Most expensive candidates\n\n";
-        pr "| candidate | shard | SAT calls | conflicts | wall (s) | \
-            static |\n";
-        pr "|---|---|---|---|---|---|\n";
+        pr "| candidate | shard | SAT calls | conflicts | wall (s) |\n";
+        pr "|---|---|---|---|---|\n";
         List.iter
           (fun (r : Obs.Attr.row) ->
-            pr "| `%s` | %s | %d | %d | %.4f | %s |\n" r.Obs.Attr.a_key
+            pr "| `%s` | %s | %d | %d | %.4f |\n" r.Obs.Attr.a_key
               (match r.Obs.Attr.a_shard with
               | Some i -> string_of_int i
               | None -> "—")
-              r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s
-              (if r.Obs.Attr.a_static then "yes" else ""))
+              r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
           st.I.top_costs
       end;
       if st.I.workers > 0 then begin

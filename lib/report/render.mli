@@ -37,8 +37,7 @@ val json :
   string
 (** [induction], when given, adds a ["costs"] object: the run's
     deterministic top-K candidate-cost table (key, shard, SAT calls,
-    conflicts, core-skip credits, static flag — {e no wall time}, so
-    the golden byte-determinism property is preserved) and the shard
+    conflicts — {e no wall time}, so the golden byte-determinism property is preserved) and the shard
     load-balance shape (worker count, shard sizes). *)
 
 val markdown :

@@ -51,7 +51,8 @@ let parse ?(on_warning = fun (_ : warning) -> ()) src =
                | Some v ->
                    if not !header_seen then
                      error ~line ~token:tok "clause before the problem line";
-                   if abs v > !n_vars then
+                   (* not [abs v > n_vars]: [abs min_int] is negative *)
+                   if v > !n_vars || v < - !n_vars then
                      error ~line ~token:tok
                        (Printf.sprintf
                           "literal exceeds the %d declared variables" !n_vars);

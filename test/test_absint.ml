@@ -1,13 +1,10 @@
-(* Tests for the abstract-interpretation invariant engine and its
-   integrations: the static prover tier, induction strengthening, the
+(* Tests for the abstract-interpretation dataflow engine behind the
    absint-backed lint rules, plus first coverage for [Engine.Cutpoint]
    and [Engine.Equiv].
 
-   The soundness contract under test everywhere: a fact exported by
-   [Absint] is an invariant of the design under the same [assume] the
-   inductive prover uses, so the snapshot oracle must confirm every
-   one of them, and absint-on pipeline runs must land on the same
-   reduced netlist as absint-off runs. *)
+   The soundness contract under test: a constant reported by [Absint]
+   is an invariant of the design under the same [assume] the inductive
+   prover uses, so the snapshot oracle must confirm every one of them. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -22,16 +19,15 @@ let same_set a b = sorted a = sorted b
 let mem_const consts n b =
   List.exists (Engine.Candidate.equal (Engine.Candidate.Const (n, b))) consts
 
-(* the snapshot oracle must prove the whole fact set: the conjunction
-   of absint facts is 1-inductive under the same assumption, and
-   mutual induction is complete for conjunctive 1-inductive sets *)
-let oracle_confirms ?known d assume facts =
-  facts = []
+(* the snapshot oracle must prove the whole constant set: the
+   conjunction of absint constants is 1-inductive under the same
+   assumption, and mutual induction is complete for conjunctive
+   1-inductive sets *)
+let oracle_confirms d assume consts =
+  consts = []
   ||
-  let proved, _ =
-    Engine.Induction.prove_snapshot ?known ~assume d facts
-  in
-  same_set proved facts
+  let proved, _ = Engine.Induction.prove_snapshot ~assume d consts in
+  same_set proved consts
 
 (* --- the abstract fixpoint --------------------------------------------- *)
 
@@ -62,16 +58,12 @@ let test_forced_constants () =
     (List.exists
        (function Engine.Candidate.Const (n, _) -> n = a | _ -> false)
        consts);
-  check "proves the constant" true
-    (A.proves ai (Engine.Candidate.Const (zero, false)));
-  check "refuses the negation" false
-    (A.proves ai (Engine.Candidate.Const (zero, true)));
-  check "refuses a free net" false
-    (A.proves ai (Engine.Candidate.Const (na, false)));
-  check "facts digest is stable" true
-    (A.facts_digest ai = A.facts_digest (A.run ~assume:D.net_true d));
-  check "oracle confirms every fact" true
-    (oracle_confirms d D.net_true (A.facts ai))
+  check "a free net is not exported" false
+    (List.exists
+       (function Engine.Candidate.Const (n, _) -> n = na | _ -> false)
+       consts);
+  check "oracle confirms every constant" true
+    (oracle_confirms d D.net_true consts)
 
 (* the monitor pins an input; only assume-conditioning can see the
    register behind it never leaves reset — plain ternary cannot *)
@@ -88,15 +80,17 @@ let test_assume_conditioning () =
   check "no contradiction" false (A.contradiction ai);
   check_int "conditioning forces the input" 0 (A.value ai i);
   check_int "the register never leaves reset" 0 (A.value ai r);
-  check "fact exported" true (mem_const (A.facts ai) r false);
+  check "constant exported" true (mem_const (A.constants ai) r false);
   (match A.stuck_registers ai with
   | [ (ci, false) ] ->
       check_int "stuck register is the dff" r (D.cell d ci).D.out
   | l -> Alcotest.failf "expected one stuck register, got %d" (List.length l));
-  check "oracle confirms every conditioned fact" true
-    (oracle_confirms d ok (A.facts ai))
+  check "oracle confirms every conditioned constant" true
+    (oracle_confirms d ok (A.constants ai))
 
-(* implication proving: And2 out = 1 forces both inputs, hence the Or2 *)
+(* implication by conditioning: assuming And2 out = 1 forces both
+   inputs backward, hence the Or2 forward; assuming the Or2 forces
+   neither input, so the And2 stays unknown *)
 let test_implies_proving () =
   let d = D.create "implies" in
   let x = D.add_input d "x" in
@@ -105,33 +99,20 @@ let test_implies_proving () =
   let b = D.add_cell d C.Or2 [| x; y |] in
   D.add_output d "a" a;
   D.add_output d "b" b;
-  let cell = match D.driver d a with Some ci -> ci | None -> assert false in
-  let ai = A.run ~assume:D.net_true d in
-  check "and=1 implies or=1" true
-    (A.proves ai (Engine.Candidate.Implies { cell; a; b }));
-  check "or=1 does not imply and=1" false
-    (A.proves ai (Engine.Candidate.Implies { cell; a = b; b = a }));
-  check "implications are not in the fact set" true
-    (List.for_all
-       (function Engine.Candidate.Const _ -> true | _ -> false)
-       (A.facts ai))
-
-let test_word_facts () =
-  let d = D.create "words" in
-  let a0 = D.add_input d "a[0]" in
-  let a1 = D.add_input d "a[1]" in
-  let ok = D.add_cell d C.Inv [| a1 |] in
-  let y = D.add_cell d C.Or2 [| a0; a1 |] in
-  D.add_output d "y" y;
-  let ai = A.run ~assume:ok d in
-  match List.filter (fun w -> w.A.w_base = "a") (A.word_facts ai) with
-  | [ w ] ->
-      check_int "width" 2 w.A.w_width;
-      check "bit 1 known" true (Int64.equal w.A.w_known_mask 2L);
-      check "known value 0" true (Int64.equal w.A.w_known_value 0L);
-      check "lo" true (Int64.equal w.A.w_lo 0L);
-      check "hi" true (Int64.equal w.A.w_hi 1L)
-  | l -> Alcotest.failf "expected one word fact for a, got %d" (List.length l)
+  let on_a = A.run ~assume:a d in
+  check_int "and=1 forces x" 1 (A.value on_a x);
+  check_int "and=1 forces y" 1 (A.value on_a y);
+  check_int "and=1 implies or=1" 1 (A.value on_a b);
+  check "or=1 exported as a constant" true
+    (mem_const (A.constants on_a) b true);
+  check "oracle confirms the implied constant" true
+    (oracle_confirms d a (A.constants on_a));
+  let on_b = A.run ~assume:b d in
+  check_int "or=1 does not imply and=1" Engine.Ternary.x (A.value on_b a);
+  check "and not exported under or=1" false
+    (List.exists
+       (function Engine.Candidate.Const (n, _) -> n = a | _ -> false)
+       (A.constants on_b))
 
 (* an unsatisfiable assumption: the engine must degrade to claiming
    nothing rather than "proving" everything *)
@@ -142,11 +123,9 @@ let test_contradiction () =
   D.add_output d "q" r;
   let ai = A.run ~assume:D.net_false d in
   check "contradiction flagged" true (A.contradiction ai);
-  check_int "no facts" 0 (A.n_facts ai);
-  check "proves nothing" false
-    (A.proves ai (Engine.Candidate.Const (r, false)));
+  check "no constants" true (A.constants ai = []);
   check "no stuck registers claimed" true (A.stuck_registers ai = []);
-  check "digest still defined" true (String.length (A.facts_digest ai) > 0)
+  check "no dead writes claimed" true (A.dead_writes ai = [])
 
 let test_dead_write () =
   let d = D.create "deadwrite" in
@@ -164,115 +143,6 @@ let test_dead_write () =
   match A.dead_writes (A.run ~assume:ok d) with
   | [ (ci, false) ] -> check_int "the register's write" r (D.cell d ci).D.out
   | l -> Alcotest.failf "expected one dead write, got %d" (List.length l)
-
-(* --- the static tier inside the prover --------------------------------- *)
-
-let test_static_tier_accounting () =
-  let d = D.create "tier" in
-  let a = D.add_input d "a" in
-  let r = D.add_dff d ~d:D.net_false () in
-  let zero = D.add_cell d C.And2 [| a; r |] in
-  D.add_output d "y" (D.add_cell d C.Or2 [| zero; a |]);
-  let cands =
-    [ Engine.Candidate.Const (zero, false); Engine.Candidate.Const (r, false) ]
-  in
-  let ai = A.run ~assume:D.net_true d in
-  let proved, st =
-    Engine.Induction.prove_parallel ~jobs:1 ~absint:ai ~assume:D.net_true d
-      cands
-  in
-  check "both candidates proved" true (same_set proved cands);
-  check_int "both discharged statically" 2
-    st.Engine.Induction.n_static_proved;
-  check_int "no SAT call needed" 0 st.Engine.Induction.sat_calls;
-  (* facts outside the candidate set are counted as strengthening *)
-  check "strengthening facts counted" true
-    (st.Engine.Induction.strengthening_facts
-    = A.n_facts ai - List.length cands)
-
-(* every statically proved verdict is cross-checked against the
-   snapshot oracle, strengthened by the remaining facts *)
-let test_static_proved_vs_oracle () =
-  let gen_config =
-    { Netlist.Generate.n_inputs = 6; n_gates = 42; n_flops = 8; n_outputs = 6 }
-  in
-  let mine_config =
-    { Engine.Rsim.default with Engine.Rsim.cycles = 128; runs = 1 }
-  in
-  let confirmed = ref 0 in
-  for seed = 1 to 20 do
-    let d = Netlist.Generate.random ~seed ~config:gen_config () in
-    let cands =
-      Engine.Rsim.mine ~config:mine_config d Engine.Stimulus.unconstrained
-    in
-    let ai = A.run ~assume:D.net_true d in
-    let static = List.filter (A.proves ai) cands in
-    confirmed := !confirmed + List.length static;
-    if
-      not
-        (oracle_confirms ~known:(A.facts ai) d D.net_true static
-        && oracle_confirms d D.net_true (A.facts ai))
-    then
-      Alcotest.failf "seed %d: snapshot oracle refuted a static verdict" seed
-  done;
-  check "the sweep exercised static proofs" true (!confirmed > 0)
-
-(* the strengthening flip: a candidate that k=1 induction alone kills on
-   the step side (V_not_inductive) but that the strengthened run proves.
-   [fr] is a rail-backed register — a fact absint proves — and the
-   register [r] is held at 0 by
-
-     r' = (s | (r|fr)) & (~s | (r|fr))
-
-   which needs the non-cartesian identity (s|z) & (~s|z) = z, invisible
-   to the ternary cube, so the static tier cannot discharge the
-   candidate itself.  Plain induction's step side starts [fr] free,
-   drives r' = 1 through fr = 1, and kills the candidate; with the fact
-   fr = 0 asserted as a strengthening assumption the step query is
-   Unsat and the candidate is proved. *)
-let test_strengthening_flips_not_inductive () =
-  let d = D.create "strengthen_flip" in
-  let s = D.add_input d "s" in
-  let fr = D.add_dff d ~d:D.net_false () in
-  let r = D.new_net d in
-  let supp = D.add_cell d C.Or2 [| r; fr |] in
-  let sn = D.add_cell d C.Inv [| s |] in
-  let left = D.add_cell d C.Or2 [| s; supp |] in
-  let right = D.add_cell d C.Or2 [| sn; supp |] in
-  let x = D.add_cell d C.And2 [| left; right |] in
-  D.add_cell_out d C.Dff [| x |] ~out:r;
-  D.add_output d "q" r;
-  let cand = Engine.Candidate.Const (r, false) in
-  let ai = A.run ~assume:D.net_true d in
-  check "the support register is a fact" true
-    (mem_const (A.facts ai) fr false);
-  check "the cube cannot prove the candidate itself" false
-    (A.proves ai cand);
-  let fates = Hashtbl.create 4 in
-  let p_off, _ =
-    Engine.Induction.prove ~fates ~assume:D.net_true d [ cand ]
-  in
-  check "plain induction fails" true (p_off = []);
-  check "the off-fate is a step-side kill" true
-    (Hashtbl.find_opt fates cand = Some Engine.Induction.V_not_inductive);
-  let attributions = Hashtbl.create 4 in
-  let p_on, st =
-    Engine.Induction.prove_parallel ~jobs:1 ~absint:ai ~attributions
-      ~assume:D.net_true d [ cand ]
-  in
-  check "the strengthened run proves it" true (p_on = [ cand ]);
-  check_int "not via the static tier" 0 st.Engine.Induction.n_static_proved;
-  check "the fact was fed to the solver" true
-    (st.Engine.Induction.strengthening_facts > 0);
-  (match Hashtbl.find_opt attributions cand with
-  | Some { Engine.Induction.verdict = Engine.Induction.V_proved _; _ } -> ()
-  | Some a ->
-      Alcotest.failf "unexpected on-fate %s"
-        (Engine.Induction.verdict_label a.Engine.Induction.verdict)
-  | None -> Alcotest.fail "no attribution for the candidate");
-  (* the flip is sound: the snapshot oracle agrees once handed the fact *)
-  check "oracle confirms the strengthened proof" true
-    (oracle_confirms ~known:(A.facts ai) d D.net_true [ cand ])
 
 (* --- absint-backed lint rules ------------------------------------------ *)
 
@@ -426,100 +296,6 @@ let test_equiv_under_assumption () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "no shared outputs must raise"
 
-(* --- the pipeline differential ----------------------------------------- *)
-
-(* same digest-level identity the chaos harness uses *)
-let design_digest d =
-  Engine.Proof_cache.scope_digest d ~assume:D.net_true
-
-let test_pipeline_absint_differential () =
-  let gen_config =
-    { Netlist.Generate.n_inputs = 6; n_gates = 42; n_flops = 8; n_outputs = 6 }
-  in
-  let reduced = ref 0 in
-  for seed = 1 to 50 do
-    let d = Netlist.Generate.random ~seed ~config:gen_config () in
-    let run absint =
-      let r =
-        Pdat.Pipeline.run ~jobs:1 ~absint ~design:d
-          ~env:(Pdat.Environment.unconstrained d) ()
-      in
-      check (Printf.sprintf "seed %d: absint flag recorded" seed) absint
-        r.Pdat.Pipeline.report.Pdat.Pipeline.absint;
-      r
-    in
-    let off = run false in
-    let on = run true in
-    if design_digest off.Pdat.Pipeline.reduced
-       <> design_digest on.Pdat.Pipeline.reduced
-    then Alcotest.failf "seed %d: absint changed the reduced netlist" seed;
-    if off.Pdat.Pipeline.report.Pdat.Pipeline.proved > 0 then incr reduced
-  done;
-  check "the sweep exercised non-trivial reductions" true (!reduced > 10)
-
-(* --- strengthening on the flagship out-of-order core ------------------- *)
-
-(* At flagship scale the tier's contract is: a large slice of the mined
-   set is discharged without SAT, every static verdict agrees with the
-   SAT run, facts flow to the solvers as strengthening assumptions, and
-   the proved set is exactly preserved — mutual k-induction is complete
-   for the conjunctive candidate set when no budget bites, so on this
-   core strengthening must not (and does not) change the fixpoint.
-   The fate-flip mechanism itself (V_not_inductive -> proved) is pinned
-   by [test_strengthening_flips_not_inductive] above, where the missing
-   support is outside the candidate set by construction. *)
-let test_ridecore_strengthening () =
-  let config =
-    { Cores.Ridecore_like.rob_entries = 16; phys_regs = 48; iq_entries = 8;
-      pht_entries = 64; btb_entries = 8 }
-  in
-  let t = Cores.Ridecore_like.build ~config () in
-  let d = t.Cores.Ridecore_like.design in
-  let env = Pdat.Environment.riscv_port d ~port:"instr_rdata" Isa.Subset.rv32i in
-  let model = env.Pdat.Environment.model in
-  let assume = env.Pdat.Environment.assume in
-  let rsim = { Engine.Rsim.default with Engine.Rsim.cycles = 256; runs = 2 } in
-  let cands =
-    Pdat.Property_library.mine ~config:rsim ~model ~assume
-      ~stimulus:env.Pdat.Environment.stimulus ()
-    |> Pdat.Property_library.restrict_to_original ~original:d
-    |> Engine.Rsim.refine ~config:rsim ~assume model
-         env.Pdat.Environment.stimulus
-  in
-  check "mining found candidates" true (List.length cands > 100);
-  let opts =
-    { Engine.Induction.k = 1; call_conflict_budget = 30_000;
-      total_conflict_budget = 1_000_000; time_budget_s = infinity }
-  in
-  let ai = A.run ~assume model in
-  check "fixpoint found facts on ridecore" true (A.n_facts ai > 0);
-  let p_off, _ =
-    Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~assume model cands
-  in
-  let p_on, s_on =
-    Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~absint:ai ~assume
-      model cands
-  in
-  let off_tbl = Hashtbl.create 4096 in
-  List.iter (fun c -> Hashtbl.replace off_tbl c ()) p_off;
-  let on_tbl = Hashtbl.create 4096 in
-  List.iter (fun c -> Hashtbl.replace on_tbl c ()) p_on;
-  check "monotone: nothing lost by strengthening" true
-    (List.for_all (Hashtbl.mem on_tbl) p_off);
-  check "complete run: the proved fixpoint is exactly preserved" true
-    (List.for_all (Hashtbl.mem off_tbl) p_on);
-  check "a large slice of the set is discharged without SAT" true
-    (s_on.Engine.Induction.n_static_proved * 10 > List.length cands);
-  check "facts beyond the candidate set strengthen the solvers" true
-    (s_on.Engine.Induction.strengthening_facts > 0);
-  (* soundness at scale, for free: every statically discharged candidate
-     was independently proved by the plain SAT run *)
-  let static = List.filter (A.proves ai) cands in
-  check_int "static accounting matches the cube"
-    (List.length static) s_on.Engine.Induction.n_static_proved;
-  check "every static verdict agrees with the SAT run" true
-    (List.for_all (Hashtbl.mem off_tbl) static)
-
 let () =
   Alcotest.run "absint"
     [
@@ -531,20 +307,9 @@ let () =
             `Quick test_assume_conditioning;
           Alcotest.test_case "implication proving by conditioning" `Quick
             test_implies_proving;
-          Alcotest.test_case "word facts: known bits and intervals" `Quick
-            test_word_facts;
           Alcotest.test_case "contradiction degrades to no claims" `Quick
             test_contradiction;
           Alcotest.test_case "dead write arms" `Quick test_dead_write;
-        ] );
-      ( "prover",
-        [
-          Alcotest.test_case "static tier accounting" `Quick
-            test_static_tier_accounting;
-          Alcotest.test_case "static verdicts vs the snapshot oracle, 20 seeds"
-            `Slow test_static_proved_vs_oracle;
-          Alcotest.test_case "strengthening flips a not-inductive fate" `Quick
-            test_strengthening_flips_not_inductive;
         ] );
       ( "lint",
         [
@@ -566,17 +331,5 @@ let () =
             test_equiv_counterexample;
           Alcotest.test_case "assumption-relative equivalence" `Quick
             test_equiv_under_assumption;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "absint-on == absint-off reduced netlists, 50 \
-                              seeds"
-            `Slow test_pipeline_absint_differential;
-        ] );
-      ( "ridecore",
-        [
-          Alcotest.test_case
-            "static tier at flagship scale: discharge, soundness, fixpoint \
-             preservation" `Slow test_ridecore_strengthening;
         ] );
     ]

@@ -377,6 +377,13 @@ let test_verilog_roundtrip () =
       (sequentially_equivalent d d')
   done
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_verilog_rejects_garbage () =
   check "garbage rejected" true
     (try
@@ -389,7 +396,79 @@ let test_verilog_rejects_garbage () =
          (Netlist.Verilog.of_string
             "module m (input a, output z);\n FROB_X1 u1 (.A(a), .Z(z));\nendmodule");
        false
-     with Netlist.Verilog.Parse_error _ -> true)
+     with Netlist.Verilog.Parse_error _ -> true);
+  (* each must raise [Parse_error] whose message names [what] *)
+  List.iter
+    (fun (label, src, what) ->
+      match Netlist.Verilog.of_string src with
+      | _ -> Alcotest.failf "%s: accepted" label
+      | exception Netlist.Verilog.Parse_error msg ->
+          if not (contains msg what) then
+            Alcotest.failf "%s: message %S does not name %S" label msg what)
+    [
+      ( "non-integer attribute value",
+        "module m (input CLK, input a, output q);\n\
+        \  (* init = x *) DFF_X1 r (.CK(CLK), .D(a), .Q(q));\nendmodule",
+        "init = x" );
+      ( "two cells on one wire",
+        "module m (input a, output z);\n  wire w;\n\
+        \  INV_X1 u1 (.A(a), .ZN(w));\n  BUF_X1 u2 (.A(a), .Z(w));\n\
+        \  assign z = w;\nendmodule",
+        "net w" );
+      ( "a cell onto an input port",
+        "module m (input a, input b, output z);\n\
+        \  INV_X1 u1 (.A(b), .ZN(a));\n  assign z = a;\nendmodule",
+        "net a" );
+      ( "an assign onto an input port",
+        "module m (input a, input b, output z);\n  assign a = b;\n\
+        \  assign z = a;\nendmodule",
+        "net a" );
+    ]
+
+(* the committed example netlists, one line array per file; read on
+   first use, from the test directory under [dune runtest] or from the
+   root *)
+let example_lines =
+  lazy
+    (let dir =
+       List.find Sys.file_exists [ "../examples/netlists"; "examples/netlists" ]
+     in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f -> Filename.check_suffix f ".v")
+     |> List.map (fun f ->
+            let ic = open_in (Filename.concat dir f) in
+            let src = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            (f, Array.of_list (String.split_on_char '\n' src)))
+     |> Array.of_list)
+
+(* mutating one line of a committed example netlist may make it
+   unreadable, but only ever as a [Parse_error] *)
+let qcheck_verilog_line_mutations =
+  let gen st =
+    let files = Lazy.force example_lines in
+    let fi = Random.State.int st (Array.length files) in
+    let li = Random.State.int st (Array.length (snd files.(fi))) in
+    (fi, li, Random.State.bool st)
+  in
+  let print (fi, li, dup) =
+    Printf.sprintf "%s line %d %s"
+      (fst (Lazy.force example_lines).(fi))
+      (li + 1)
+      (if dup then "duplicated" else "deleted")
+  in
+  QCheck.Test.make ~name:"verilog line mutations raise only Parse_error"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (fi, li, dup) ->
+      let lines = snd (Lazy.force example_lines).(fi) in
+      let mutated =
+        List.concat
+          (List.mapi
+             (fun i l -> if i <> li then [ l ] else if dup then [ l; l ] else [])
+             (Array.to_list lines))
+      in
+      match Netlist.Verilog.of_string (String.concat "\n" mutated) with
+      | _ | (exception Netlist.Verilog.Parse_error _) -> true)
 
 let test_obfuscate_equivalent () =
   for seed = 1 to 10 do
@@ -533,6 +612,7 @@ let () =
           [
             qcheck_compact_preserves_behaviour;
             qcheck_verilog_roundtrip;
+            qcheck_verilog_line_mutations;
             qcheck_obfuscate;
             qcheck_generate_valid;
           ] );

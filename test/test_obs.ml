@@ -519,7 +519,8 @@ let test_attr_billing () =
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.5 ~conflicts:3;
       Obs.Attr.charge_call ~wall_s:0.25 ~conflicts:1);
-  Obs.Attr.note_static "C2:0";
+  Obs.Attr.with_key "C2:0" (fun () ->
+      Obs.Attr.charge_call ~wall_s:0.125 ~conflicts:0);
   (match Obs.Attr.export () with
   | [ r1; r2 ] ->
       check "rows sorted by key" true
@@ -527,8 +528,7 @@ let test_attr_billing () =
       check_int "calls accumulated" 2 r1.Obs.Attr.a_sat_calls;
       check_int "conflicts accumulated" 4 r1.Obs.Attr.a_conflicts;
       Alcotest.(check (float 1e-9)) "wall accumulated" 0.75 r1.Obs.Attr.a_wall_s;
-      check "static flag set" true r2.Obs.Attr.a_static;
-      check_int "static row has no SAT calls" 0 r2.Obs.Attr.a_sat_calls
+      check_int "second key billed on its own row" 1 r2.Obs.Attr.a_sat_calls
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
   (* the key scope is restored even when the body raises *)
   (try Obs.Attr.with_key "C9:0" (fun () -> failwith "boom")
@@ -545,7 +545,6 @@ let test_attr_delta_and_top () =
       Obs.Attr.charge_call ~wall_s:1.0 ~conflicts:100);
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:2);
-  Obs.Attr.note_static "C5:0";
   let since = Obs.Attr.export () in
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:8);
@@ -554,13 +553,8 @@ let test_attr_delta_and_top () =
   Obs.Attr.with_key "C3:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:10);
   let d = Obs.Attr.delta ~since (Obs.Attr.export ()) in
-  (* unmoved rows are dropped — including a row whose static flag was
-     already set before the window, which must not leak in again *)
   check "delta drops unmoved rows" true
-    (List.for_all
-       (fun r ->
-         r.Obs.Attr.a_key <> "(base-aggregate)" && r.Obs.Attr.a_key <> "C5:0")
-       d);
+    (List.for_all (fun r -> r.Obs.Attr.a_key <> "(base-aggregate)") d);
   (match List.find_opt (fun r -> r.Obs.Attr.a_key = "C1:0") d with
   | Some r -> check_int "delta is windowed, not cumulative" 8 r.Obs.Attr.a_conflicts
   | None -> Alcotest.fail "C1:0 missing from delta");
@@ -583,7 +577,6 @@ let test_attr_merge () =
       a_wall_s = 0.1;
       a_sat_calls = 1;
       a_conflicts = conflicts;
-      a_static = false;
     }
   in
   Obs.reset ();
@@ -630,8 +623,7 @@ let attr_sig (st : Engine.Induction.stats) =
       ( r.Obs.Attr.a_key,
         r.Obs.Attr.a_shard,
         r.Obs.Attr.a_sat_calls,
-        r.Obs.Attr.a_conflicts,
-        r.Obs.Attr.a_static ))
+        r.Obs.Attr.a_conflicts ))
     st.Engine.Induction.top_costs
 
 let test_attr_chaos_merge_once () =
@@ -649,7 +641,7 @@ let test_attr_chaos_merge_once () =
   in
   check "refuted candidates produced cost rows" true (clean_sig <> []);
   check "parallel rows carry their shard tag" true
-    (List.exists (fun (_, s, _, _, _) -> s <> None) clean_sig);
+    (List.exists (fun (_, s, _, _) -> s <> None) clean_sig);
   (* same run with every worker's first attempt SIGKILLed: the killed
      attempt's partial rows and samples die with the worker, the retry
      ships them once, so the merged table and the histogram are

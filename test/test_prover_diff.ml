@@ -101,40 +101,17 @@ let test_differential () =
           true
           (survives_sim d D.net_true par ~cycles:1000))
       [ 1; 2; 4 ];
-    (* the absint static tier: every statically discharged verdict and
-       every strengthening fact must be confirmed by the snapshot
-       oracle, and under an unconstrained environment the mined
-       candidate set already contains the whole ternary cube, so the
-       strengthened proved set must be byte-identical to the serial
-       one *)
-    let ai = Engine.Absint.run ~assume:D.net_true d in
-    let p_ai, sai =
-      Engine.Induction.prove_parallel ~jobs:1 ~absint:ai ~assume:D.net_true d
-        cands
-    in
-    if not (same_set serial p_ai) then
-      Alcotest.failf
-        "seed %d: absint-on proved %d, absint-off proved %d (different sets)"
-        seed (List.length p_ai) (List.length serial);
-    check_int
-      (Printf.sprintf "seed %d: static tier accounting" seed)
-      (List.length (List.filter (Engine.Absint.proves ai) cands))
-      sai.Engine.Induction.n_static_proved;
-    check
-      (Printf.sprintf "seed %d: absint-on proved set survives simulation" seed)
-      true
-      (survives_sim d D.net_true p_ai ~cycles:1000);
-    (let facts = Engine.Absint.facts ai in
-     if facts <> [] then begin
-       let pf, _ =
-         Engine.Induction.prove_snapshot ~assume:D.net_true d facts
-       in
-       if not (same_set pf facts) then
-         Alcotest.failf
-           "seed %d: snapshot oracle refuted %d of %d absint facts" seed
-           (List.length facts - List.length pf)
-           (List.length facts)
-     end)
+    (* lint's dataflow engine: every constant it reports must be
+       confirmed by the snapshot oracle *)
+    let consts = Engine.Absint.constants (Engine.Absint.run ~assume:D.net_true d) in
+    if consts <> [] then begin
+      let pc, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d consts in
+      if not (same_set pc consts) then
+        Alcotest.failf
+          "seed %d: snapshot oracle refuted %d of %d absint constants" seed
+          (List.length consts - List.length pc)
+          (List.length consts)
+    end
   done;
   (* the harness must actually exercise non-trivial proofs *)
   check "some seeds proved something" true (!nonempty > 10)
@@ -298,8 +275,7 @@ let test_chaos_attribution_identity () =
         ( r.Obs.Attr.a_key,
           r.Obs.Attr.a_shard,
           r.Obs.Attr.a_sat_calls,
-          r.Obs.Attr.a_conflicts,
-          r.Obs.Attr.a_static ))
+          r.Obs.Attr.a_conflicts ))
       st.Engine.Induction.top_costs
   in
   Engine.Chaos.reset ();

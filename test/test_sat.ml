@@ -184,6 +184,10 @@ let test_dimacs_errors () =
   expect_parse_error "p cnf 3 1\nc note\n\n1 x 0\n" ~line:4 ~token:"x";
   (* literal out of the declared range *)
   expect_parse_error "p cnf 3 1\n1 -4 0\n" ~line:2 ~token:"-4";
+  (* the most negative literal: [abs min_int] is negative, so a plain
+     [abs v > n_vars] check would let it through to the solver *)
+  expect_parse_error "p cnf 1 1\n-4611686018427387904 0\n" ~line:2
+    ~token:"-4611686018427387904";
   (* well-formed input still parses *)
   let n, clauses = Sat.Dimacs.parse "c ok\np cnf 2 2\n1 2 0\n-1 0\n" in
   Alcotest.(check int) "vars" 2 n;
