@@ -8,26 +8,6 @@ type result =
   | Unknown
 
 let bounded ?(assume = D.net_true) ?(conflict_budget = -1) ~frames d1 d2 =
-  let solver = S.create () in
-  let shared : (int * string, L.t) Hashtbl.t = Hashtbl.create 256 in
-  let pi_lit ~frame nm =
-    match Hashtbl.find_opt shared (frame, nm) with
-    | Some l -> Some l
-    | None ->
-        let l = L.pos (S.new_var solver) in
-        Hashtbl.replace shared (frame, nm) l;
-        Some l
-  in
-  let u1 = Unroll.create ~pi_lit solver d1 ~init:`Reset in
-  let u2 = Unroll.create ~pi_lit solver d2 ~init:`Reset in
-  for _ = 1 to frames do
-    Unroll.add_frame u1;
-    Unroll.add_frame u2
-  done;
-  if assume <> D.net_true then
-    for f = 0 to frames - 1 do
-      S.add_clause solver [ Unroll.lit u1 ~frame:f assume ]
-    done;
   (* outputs compared on the name intersection *)
   let outs2 = D.outputs d2 in
   let pairs =
@@ -39,6 +19,30 @@ let bounded ?(assume = D.net_true) ?(conflict_budget = -1) ~frames d1 d2 =
       (D.outputs d1)
   in
   if pairs = [] then invalid_arg "Equiv.bounded: no shared outputs";
+  let solver = S.create () in
+  (* the shared stimulus, one variable per frame and input of [d1],
+     numbered ahead of both designs' logic *)
+  let shared : (int * string, L.t) Hashtbl.t = Hashtbl.create 256 in
+  for frame = 0 to frames - 1 do
+    List.iter
+      (fun (nm, _) ->
+        Hashtbl.replace shared (frame, nm) (L.pos (S.new_var solver)))
+      (D.inputs d1)
+  done;
+  let pi_lit ~frame nm = Hashtbl.find_opt shared (frame, nm) in
+  (* each side encodes only the cone of its compared outputs *)
+  let u1 =
+    Unroll.create ~pi_lit solver d1 ~init:`Reset ~frames
+      ~roots:(assume :: List.map (fun (_, n1, _) -> n1) pairs)
+  in
+  let u2 =
+    Unroll.create ~pi_lit solver d2 ~init:`Reset ~frames
+      ~roots:(List.map (fun (_, _, n2) -> n2) pairs)
+  in
+  if assume <> D.net_true then
+    for f = 0 to frames - 1 do
+      S.add_clause solver [ Unroll.lit u1 ~frame:f assume ]
+    done;
   (* mismatch literal per (frame, output) *)
   let mismatches =
     List.concat_map

@@ -177,13 +177,25 @@ let or_lits u lits =
       S.add_clause s (L.negate v :: lits);
       v
 
-let build_side d ~assume ~init ~n_frames ~check_frames ~with_hypothesis
-    ~known ~hypotheses candidates =
+let candidate_nets acc = function
+  | Candidate.Const (n, _) -> n :: acc
+  | Candidate.Implies { a; b; _ } -> a :: b :: acc
+
+(* The side encodes the cone of [roots], by default [assume] and the
+   nets of every claim it makes.  Candidates only ever die, so the
+   cone computed from the initial set covers every later check. *)
+let build_side ?roots d ~assume ~init ~n_frames ~check_frames
+    ~with_hypothesis ~known ~hypotheses candidates =
+  let roots =
+    match roots with
+    | Some r -> r
+    | None ->
+        List.fold_left candidate_nets
+          (Array.fold_left candidate_nets [ assume ] candidates)
+          (known @ hypotheses)
+  in
   let solver = S.create () in
-  let u = Unroll.create solver d ~init in
-  for _ = 1 to n_frames do
-    Unroll.add_frame u
-  done;
+  let u = Unroll.create solver d ~init ~roots ~frames:n_frames in
   for f = 0 to n_frames - 1 do
     S.add_clause solver [ Unroll.lit u ~frame:f assume ]
   done;
@@ -254,7 +266,6 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
      input literals of frames [0..f] out of the model. *)
   let extract_cex side i =
     let u = side.u in
-    let solver = Unroll.solver u in
     match
       List.find_opt
         (fun f -> not (holds_in_model u ~frame:f candidates.(i)))
@@ -265,9 +276,7 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
         let inputs = Lazy.force inputs_arr in
         let frames =
           Array.init (f + 1) (fun frame ->
-              Array.map
-                (fun nnet -> S.lit_value solver (Unroll.lit u ~frame nnet))
-                inputs)
+              Array.map (fun nnet -> Unroll.value u ~frame nnet) inputs)
         in
         Some (f, { Cex.inputs; frames })
   in
@@ -282,9 +291,12 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
             | None -> set_fate i (V_dropped "spurious-model")
           else set_fate i V_not_inductive
   in
-  (* counterexample propagation: replay each CEX state forward in the
+  (* counterexample propagation: replay each CEX forward in the
      bit-parallel simulator to mass-kill non-inductive candidates that
-     would otherwise each cost their own SAT query *)
+     would otherwise each cost their own SAT query.  The replay loads
+     the model's frame-0 state and drives the model's inputs up to the
+     check frame: the model has no value for a flop outside the check
+     frame's cone, so the simulator computes it from frame 0. *)
   let cex_propagate =
     match cex with
     | None -> fun _ () -> ()
@@ -298,12 +310,17 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
           alive.(i) <- false;
           set_fate i V_sim_killed
         in
+        let word b = if b then -1L else 0L in
         fun side () ->
           let u = side.u in
-          let solver = Unroll.solver u in
-          let frame = List.fold_left max 0 side.check_frames in
-          Netlist.Sim64.load_state sim (fun nnet ->
-              if S.lit_value solver (Unroll.lit u ~frame nnet) then -1L else 0L);
+          Netlist.Sim64.load_state sim (fun q -> word (Unroll.value u ~frame:0 q));
+          for frame = 0 to List.fold_left max 0 side.check_frames - 1 do
+            Array.iter
+              (fun n -> set n (word (Unroll.value u ~frame n)))
+              (Lazy.force inputs_arr);
+            Netlist.Sim64.eval sim;
+            Netlist.Sim64.step sim
+          done;
           for _ = 1 to cycles do
             Stimulus.next_cycle feed rng set;
             Netlist.Sim64.eval sim;
@@ -614,12 +631,14 @@ let prove_snapshot ?(options = default_options) ?(known = [])
     S.solve ~assumptions ~conflict_budget:options.call_conflict_budget
       ?deadline solver
   in
+  (* the oracle keeps the whole design in every frame *)
+  let roots = List.init (D.num_nets d) Fun.id in
   let continue = ref true in
   while !continue do
     continue := false;
     incr rounds;
     let base =
-      build_side d ~assume ~init:`Reset ~n_frames:k
+      build_side ~roots d ~assume ~init:`Reset ~n_frames:k
         ~check_frames:(List.init k (fun i -> i))
         ~with_hypothesis:false ~known ~hypotheses:[] candidates
     in
@@ -636,8 +655,8 @@ let prove_snapshot ?(options = default_options) ?(known = [])
           | S.Unsat -> ())
       alive;
     let step =
-      build_side d ~assume ~init:`Free ~n_frames:(k + 1) ~check_frames:[ k ]
-        ~with_hypothesis:true ~known ~hypotheses candidates
+      build_side ~roots d ~assume ~init:`Free ~n_frames:(k + 1)
+        ~check_frames:[ k ] ~with_hypothesis:true ~known ~hypotheses candidates
     in
     let hyp_guards =
       match step.hyp_actives with Some g -> g | None -> [||]

@@ -132,12 +132,17 @@ val prove :
     environment-ok net, forced to 1 in every time frame (use
     {!Netlist.Design.net_true} for an unconstrained environment).
 
+    Each side encodes only the cone of influence of [assume] and the
+    nets of the candidates, [known] and [hypotheses] ({!Unroll}),
+    computed once: candidates only die, so the cone keeps covering
+    every later check.
+
     [cex] = [(stimulus, cycles)] enables counterexample propagation:
-    after each SAT kill, the model's state is replayed forward in the
-    64-lane simulator for [cycles] cycles under the stimulus, evicting
-    further candidates without SAT queries.  Conservative only — an
-    eviction never makes the result unsound, it only skips an
-    optimization.
+    after each SAT kill, the simulator loads the model's frame-0 state,
+    replays the model's inputs up to the check frame, then runs
+    [cycles] cycles under the stimulus, evicting further candidates
+    without SAT queries.  Conservative only — an eviction never makes
+    the result unsound, it only skips an optimization.
 
     [known] are established invariants of the design under [assume]
     (e.g. from {!Proof_cache}); they are asserted at every frame of both
@@ -166,7 +171,8 @@ val prove_snapshot :
   Candidate.t list * stats
 (** The pre-incremental snapshot/restore prover, kept as a
     differential-test oracle and bench baseline: every pass re-encodes
-    the transition relation into fresh solvers and pays one solver
+    the transition relation of the whole design, not the candidates'
+    cone, into fresh solvers and pays one solver
     round-trip per candidate per pass, so nothing — learned clauses,
     selectors — is reused between checks.  On complete runs
     (generous budgets, no [Unknown] drops) its proved set is the

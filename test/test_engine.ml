@@ -220,10 +220,7 @@ let test_unroll_semantics () =
   D.add_cell_out d ~init:false C.Dff [| nq |] ~out:q;
   D.add_output d "q" q;
   let solver = Sat.Solver.create () in
-  let u = Engine.Unroll.create solver d ~init:`Reset in
-  for _ = 0 to 4 do
-    Engine.Unroll.add_frame u
-  done;
+  let u = Engine.Unroll.create solver d ~init:`Reset ~roots:[ q ] ~frames:5 in
   (match Sat.Solver.solve solver with
   | Sat.Solver.Sat -> ()
   | Sat.Solver.Unsat | Sat.Solver.Unknown -> Alcotest.fail "unrolling unsat");
@@ -232,6 +229,90 @@ let test_unroll_semantics () =
     check_int (Printf.sprintf "frame %d" f) (f mod 2)
       (if Sat.Solver.lit_value solver l then 1 else 0)
   done
+
+(* A toggle flop [q] and, beside it, an island that [q] never reads:
+   flop [r] loads [r xor a], and [y = x and a] is an output.  Rooted at
+   [q], the island is outside every frame's cone. *)
+let test_unroll_cone () =
+  let d = D.create "island" in
+  let q = D.new_net d in
+  let nq = D.add_cell d C.Inv [| q |] in
+  D.add_cell_out d ~init:false C.Dff [| nq |] ~out:q;
+  D.add_output d "q" q;
+  let a = D.add_input d "a" in
+  let r = D.new_net d in
+  let x = D.add_cell d C.Xor2 [| r; a |] in
+  D.add_cell_out d ~init:true C.Dff [| x |] ~out:r;
+  let y = D.add_cell d C.And2 [| x; a |] in
+  D.add_output d "y" y;
+  let frames = 3 in
+  let unroll roots =
+    let solver = Sat.Solver.create () in
+    let u = Engine.Unroll.create solver d ~init:`Reset ~roots ~frames in
+    (match Sat.Solver.solve solver with
+    | Sat.Solver.Sat -> ()
+    | Sat.Solver.Unsat | Sat.Solver.Unknown -> Alcotest.fail "unrolling unsat");
+    (solver, u)
+  in
+  let cone_solver, cone = unroll [ q ] in
+  let full_solver, full = unroll (List.init (D.num_nets d) Fun.id) in
+  check "cone encodes fewer variables" true
+    (Sat.Solver.num_vars cone_solver < Sat.Solver.num_vars full_solver);
+  for frame = 0 to frames - 1 do
+    (* [nq] feeds [q] one frame later, so the last frame holds [q] only *)
+    List.iter
+      (fun n ->
+        check
+          (Printf.sprintf "net %d frame %d: same value" n frame)
+          (Engine.Unroll.value full ~frame n)
+          (Engine.Unroll.value cone ~frame n))
+      (if frame < frames - 1 then [ q; nq ] else [ q ]);
+    List.iter
+      (fun n ->
+        check
+          (Printf.sprintf "island net %d frame %d: lit raises" n frame)
+          true
+          (try
+             ignore (Engine.Unroll.lit cone ~frame n : Sat.Lit.t);
+             false
+           with Invalid_argument _ -> true);
+        check
+          (Printf.sprintf "island net %d frame %d: reads false" n frame)
+          false
+          (Engine.Unroll.value cone ~frame n))
+      [ a; x; y ]
+  done;
+  (* under [`Reset] every frame-0 flop is bound to its reset constant *)
+  check "frame-0 island flop reads its reset value" true
+    (Engine.Unroll.value cone ~frame:0 r)
+
+(* [m = f or x] where [f] reads 0 in the simulator, so [m] is 0 whenever
+   [x] is, and [m = 1] is not an invariant.  With [f] undriven the
+   encoding must leave it free rather than tie it to 1; with [f] a
+   [Const0] tie cell it must encode 0. *)
+let test_undriven_net_is_free () =
+  List.iter
+    (fun (label, zero) ->
+      let d = D.create label in
+      let f = zero d in
+      let x = D.add_input d "x" in
+      let m = D.add_cell d C.Or2 [| f; x |] in
+      D.add_output d "m" m;
+      let sim = Netlist.Sim64.create d in
+      Netlist.Sim64.set_input sim x 0L;
+      Netlist.Sim64.eval sim;
+      check (label ^ ": simulator reads m = 0 when x = 0") true
+        (Netlist.Sim64.read sim m = 0L);
+      let cands = [ Engine.Candidate.Const (m, true) ] in
+      let proved, _ = Engine.Induction.prove ~assume:D.net_true d cands in
+      check_int (label ^ ": prove: m = 1 not proved") 0 (List.length proved);
+      let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
+      check_int (label ^ ": prove_snapshot: m = 1 not proved") 0
+        (List.length snap))
+    [
+      ("undriven", fun d -> D.new_net d);
+      ("tie cell", fun d -> D.add_cell d C.Const0 [||]);
+    ]
 
 let test_cutpoint () =
   let d = D.create "t" in
@@ -293,7 +374,13 @@ let () =
           Alcotest.test_case "zero/negative budgets expire immediately"
             `Quick test_expired_budget_uniformity;
         ] );
-      ("unroll", [ Alcotest.test_case "semantics" `Quick test_unroll_semantics ]);
+      ( "unroll",
+        [
+          Alcotest.test_case "semantics" `Quick test_unroll_semantics;
+          Alcotest.test_case "cone of influence" `Quick test_unroll_cone;
+          Alcotest.test_case "undriven net is free, tie cell is 0" `Quick
+            test_undriven_net_is_free;
+        ] );
       ("cutpoint", [ Alcotest.test_case "apply" `Quick test_cutpoint ]);
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_induction_sound ]);
     ]

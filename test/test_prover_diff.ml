@@ -4,9 +4,10 @@
    The central claim under test: [Induction.prove_parallel] — sharding,
    forked workers, join round — proves *exactly* the set the serial
    [Induction.prove] proves, for any job count, and every proved
-   invariant survives long constrained simulation.  Neither prover gets
-   [~cex] here: the set-identity theorem is stated for exact kills, and
-   worker determinism depends on it. *)
+   invariant survives long constrained simulation.  The matrix runs
+   without [~cex]: the set-identity theorem is stated for exact kills,
+   and worker determinism depends on it.  One leg adds [~cex] on strict
+   cones, where the replay from frame 0 keeps every kill exact. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -157,6 +158,64 @@ let test_starved_budget () =
       (survives_sim d D.net_true proved ~cycles:1000)
   done;
   check "per-candidate checks ran on at least 10 seeds" true (!looped >= 10)
+
+(* --- strict cones, with counterexample propagation ------------------- *)
+
+(* The matrix above mines candidates on every cell, so each cone is
+   nearly the whole design, and it never propagates counterexamples.
+   Here only the candidates on the first half of the cells are proved,
+   so the cones leave logic out, and [~cex] replays every SAT model in
+   the simulator.  A replay starts from the model's frame-0 state and
+   its inputs, so it only visits states a trace really reaches from
+   that start: propagation must not cost a true invariant, and the
+   proved set must equal the full-encoding oracle's.  Every refutation
+   must replay from reset, with out-of-cone inputs reading false. *)
+let test_strict_cone_cex () =
+  let refutations = ref 0 and sim_kills = ref 0 in
+  List.iter
+    (fun k ->
+      let options = { Engine.Induction.default_options with Engine.Induction.k } in
+      for seed = 1 to 50 do
+        let d = Netlist.Generate.random ~seed ~config:gen_config () in
+        let half = D.num_cells d / 2 in
+        let on_first_half = function
+          | Engine.Candidate.Const (n, _) -> (
+              match D.driver d n with Some ci -> ci < half | None -> false)
+          | Engine.Candidate.Implies { cell; _ } -> cell < half
+        in
+        let cands =
+          Engine.Rsim.mine ~config:mine_config d Engine.Stimulus.unconstrained
+          |> List.filter on_first_half
+        in
+        let fates = Hashtbl.create 64 in
+        let proved, _ =
+          Engine.Induction.prove ~options
+            ~cex:(Engine.Stimulus.unconstrained, 24)
+            ~fates ~assume:D.net_true d cands
+        in
+        let snap, _ =
+          Engine.Induction.prove_snapshot ~options ~assume:D.net_true d cands
+        in
+        if not (same_set proved snap) then
+          Alcotest.failf
+            "k=%d seed %d: cone prover with cex proved %d, snapshot oracle \
+             proved %d (different sets)"
+            k seed (List.length proved) (List.length snap);
+        Hashtbl.iter
+          (fun cand v ->
+            match v with
+            | Engine.Induction.V_refuted { cex = Some c; _ } ->
+                incr refutations;
+                if not (Engine.Cex.violates d c cand) then
+                  Alcotest.failf "k=%d seed %d: a refutation does not replay" k
+                    seed
+            | Engine.Induction.V_sim_killed -> incr sim_kills
+            | _ -> ())
+          fates
+      done)
+    [ 1; 2 ];
+  check "refutations were replayed" true (!refutations > 0);
+  check "propagation killed candidates" true (!sim_kills > 0)
 
 (* --- crash isolation ---------------------------------------------------- *)
 
@@ -685,6 +744,9 @@ let () =
           Alcotest.test_case
             "budget-3 step loop: subset of the oracle, sound, 50 netlists"
             `Slow test_starved_budget;
+          Alcotest.test_case
+            "strict cones with cex == snapshot at k=1,2, cexs replay"
+            `Slow test_strict_cone_cex;
           Alcotest.test_case "killed worker is retried, nothing lost"
             `Quick test_crash_retry;
           Alcotest.test_case "exhausted retries fall back to serial"
