@@ -72,17 +72,19 @@ let default_jobs () =
 (* Budgeted stages and their relative weights.  The validate entry only
    participates when validation is on, so with it off the proof stage's
    share grows instead of being silently forfeited.  Each weight is the
-   stage's mean share, in percent, of the stage times of three
-   [pdat reduce] runs at CLI defaults (the stage-end [wall_s] events of
-   [--log], which are [stage_seconds]), on a 2-vCPU Xeon KVM guest:
-   - Ibex rv32i --validate, 2.9 s: mine 15.8, refine 31.3, prove 45.7,
-     validate 0.4;
-   - obfuscated CM0 mibench-all --validate, 16.6 s: mine 16.4,
-     refine 28.1, prove 40.9, validate 10.2;
-   - RIDECORE rv32i --fast, 14.2 s: mine 13.1, refine 28.0, prove 51.3.
-   Validate's mean is over the two runs that validate. *)
+   stage's mean share, in percent, of the stage times of [pdat reduce]
+   at CLI defaults (the stage-end [wall_s] events of [--log], which are
+   [stage_seconds]), averaged over three runs of each configuration on a
+   2-vCPU Xeon KVM guest:
+   - Ibex rv32i --validate, 1.7-2.1 s: mine 20.8, refine 44.9,
+     prove 24.0, validate 0.7;
+   - obfuscated CM0 mibench-all --validate, 9.2-11.2 s: mine 18.5,
+     refine 42.0, prove 24.3, validate 9.8;
+   - RIDECORE rv32i --fast, 7.6-8.5 s: mine 22.5, refine 43.3,
+     prove 23.4.
+   Validate's mean is over the two configurations that validate. *)
 let stage_weights ~validate =
-  [ ("mine", 15.1); ("refine", 29.1); ("prove", 46.0) ]
+  [ ("mine", 20.6); ("refine", 43.4); ("prove", 23.9) ]
   @ (if validate then [ ("validate", 5.3) ] else [])
 
 (* Replayable counterexamples for refuted candidates.  At most

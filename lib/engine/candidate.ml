@@ -27,18 +27,17 @@ let probes cands =
   in
   { hi; lo }
 
-let iter_violated p sim ~assume ~alive f =
+let iter_violated p sim ~lanes ~alive f =
   let v = Netlist.Sim64.words sim in
-  let mask = v.{assume} in
-  if mask <> 0L then
+  if lanes <> 0L then
     for i = 0 to Array.length p.hi - 1 do
       if alive.(i) then begin
-        let lanes =
-          Int64.logand mask
+        let viol =
+          Int64.logand lanes
             (Int64.logand v.{Array.unsafe_get p.hi i}
                (Int64.lognot v.{Array.unsafe_get p.lo i}))
         in
-        if lanes <> 0L then f i lanes
+        if viol <> 0L then f i viol
       end
     done
 

@@ -29,16 +29,20 @@ val probes : t array -> probes
 val iter_violated :
   probes ->
   Netlist.Sim64.t ->
-  assume:Netlist.Design.net ->
+  lanes:int64 ->
   alive:bool array ->
   (int -> int64 -> unit) ->
   unit
 (** The simulation kill check, after {!Netlist.Sim64.eval}: calls
-    [f i lanes] for every [i] with [alive.(i)] whose candidate is
-    violated, where [lanes] (nonzero) are the violating lanes among
-    those where [assume] holds.  Reads the simulator's word store
-    directly and allocates only when [f] does; [alive] is indexed like
-    the array given to {!probes}, and [f] may clear it. *)
+    [f i viol] for every [i] with [alive.(i)] whose candidate is
+    violated, where [viol] (nonzero) are the violating lanes among
+    [lanes].  [lanes] should be the lanes whose every cycle so far,
+    this one included, met the environment assumption: a lane that
+    once left the environment runs on from a state no environment
+    trace reaches, and a violation there refutes nothing.  Reads the
+    simulator's word store directly and allocates only when [f] does;
+    [alive] is indexed like the array given to {!probes}, and [f] may
+    clear it. *)
 
 val key : t -> string
 (** Compact stable structural rendering — ["C<net>:<0|1>"] for

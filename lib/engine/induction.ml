@@ -296,7 +296,9 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
      would otherwise each cost their own SAT query.  The replay loads
      the model's frame-0 state and drives the model's inputs up to the
      check frame: the model has no value for a flop outside the check
-     frame's cone, so the simulator computes it from frame 0. *)
+     frame's cone, so the simulator computes it from frame 0.  Random
+     stimulus then drives the 64 lanes apart, and a lane is checked
+     only while every cycle since the replay has met [assume]. *)
   let cex_propagate =
     match cex with
     | None -> fun _ () -> ()
@@ -321,10 +323,12 @@ let prove ?(options = default_options) ?cex ?(known = []) ?(hypotheses = [])
             Netlist.Sim64.eval sim;
             Netlist.Sim64.step sim
           done;
+          let live = ref (-1L) in
           for _ = 1 to cycles do
             Stimulus.next_cycle feed rng set;
             Netlist.Sim64.eval sim;
-            Candidate.iter_violated probes sim ~assume ~alive kill;
+            live := Int64.logand !live (Netlist.Sim64.read sim assume);
+            Candidate.iter_violated probes sim ~lanes:!live ~alive kill;
             Netlist.Sim64.step sim
           done
   in

@@ -56,10 +56,13 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
   let rng = Random.State.make [| config.seed |] in
   let feed = Stimulus.feed d stimulus in
   let set = Netlist.Sim64.set_input sim in
-  (* Lanes where the environment assumption does not hold are masked
-     out of observation: they neither create nor kill candidates.
-     (They may still steer the state; that only widens behaviour, which
-     is conservative for candidate mining.) *)
+  (* [live.{0}] holds the lanes whose every cycle of this run has met
+     the environment assumption; only they are observed.  A lane leaves
+     it at its first violation and never returns: from then on it runs
+     from a state no environment trace reaches, and a value seen there
+     would mine away a true invariant.  A one-word store like the
+     accumulators, so [observe] still allocates nothing. *)
+  let live = zeros 1 in
   let observed_lanes = ref 0 in
   (* Attribution (optional, for provenance): the run in which each
      net's observed-value set last grew.  A surviving candidate is
@@ -68,7 +71,8 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
   let attributing = attribution <> None in
   let net_round = Array.make (if attributing then n_nets else 0) 0 in
   let observe run =
-    let mask = v.{assume} in
+    live.{0} <- Int64.logand live.{0} v.{assume};
+    let mask = live.{0} in
     if mask <> 0L then begin
       for n = 0 to n_nets - 1 do
         let x = v.{n} and s1 = seen1.{n} and s0 = seen0.{n} in
@@ -94,6 +98,7 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
   (try
      for run = 1 to config.runs do
        Netlist.Sim64.reset sim;
+       live.{0} <- -1L;
        for _cycle = 1 to config.cycles do
          if expired deadline then raise Exit;
          Stimulus.next_cycle feed rng set;
@@ -111,7 +116,7 @@ let mine ?(config = default) ?(assume = D.net_true) ?deadline ?attribution d
          graceful-degradation answer, not a crash *)
       []
     else
-      failwith "Rsim.mine: the environment assumption never held in simulation"
+      failwith "Rsim.mine: no lane met the environment assumption from reset"
   else begin
   (* Primary inputs and rails are not rewiring targets. *)
   let is_input = Array.make n_nets false in
@@ -191,9 +196,12 @@ let refine ?(config = default) ?(assume = D.net_true) ?deadline ?kills d
   in
   let killed = ref [] in
   let simulated = ref 0 in
+  (* lanes whose every cycle of this run met [assume], as in [mine] *)
+  let live = ref (-1L) in
   (try
   for run = 1 to config.runs do
     Netlist.Sim64.reset sim;
+    live := -1L;
     history := [];
     for cycle = 1 to config.cycles do
       if expired deadline then raise Exit;
@@ -203,7 +211,8 @@ let refine ?(config = default) ?(assume = D.net_true) ?deadline ?kills d
       if capturing then
         history :=
           Array.map (fun n -> Netlist.Sim64.read sim n) inputs_arr :: !history;
-      Candidate.iter_violated probes sim ~assume ~alive (fun i viol ->
+      live := Int64.logand !live (Netlist.Sim64.read sim assume);
+      Candidate.iter_violated probes sim ~lanes:!live ~alive (fun i viol ->
           alive.(i) <- false;
           if capturing then begin
             let lane = lane_of_mask viol in

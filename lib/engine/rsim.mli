@@ -23,11 +23,13 @@ val mine :
   Netlist.Design.t ->
   Stimulus.t ->
   Candidate.t list
-(** [assume] is the environment-ok net: lanes/cycles where it is 0 are
-    masked out of observation (data-dependent restrictions cannot
-    always be generated constructively).  Raises [Failure] only if the
-    assumption never held at all.  Candidates never mention the
-    constant rails or primary inputs.
+(** [assume] is the environment-ok net (data-dependent restrictions
+    cannot always be generated constructively): a lane is observed
+    only until the first cycle of its run where [assume] is 0, because
+    from there on it runs from a state no environment trace reaches.
+    Raises [Failure] only if no lane of any run met the assumption in
+    its first cycle, so nothing was ever observed.  Candidates never
+    mention the constant rails or primary inputs.
 
     [deadline] (absolute wall-clock time, checked each cycle) truncates
     the simulation: a shorter observation window only produces more
@@ -63,7 +65,8 @@ val refine :
 (** Much cheaper per cycle than {!mine} (it only watches the candidate
     nets), so it can run an order of magnitude more cycles to weed out
     false candidates before the SAT stage — every candidate killed here
-    saves a counterexample query.
+    saves a counterexample query.  A lane can kill only until the
+    first cycle of its run where [assume] is 0, as in {!mine}.
 
     [kills], when given, receives one entry per killed candidate with
     the refuting lane extracted as a replayable {!Cex.t}.  Capturing

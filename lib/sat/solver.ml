@@ -48,8 +48,10 @@
    Assumptions occupy decision levels 1..n; a conflict is never resolved
    by flipping an assumption, so unsatisfiability under assumptions
    surfaces when an assumption is false at its own establishment (or at
-   level 0).  The search answers Sat as soon as the trail covers every
-   variable. *)
+   level 0).  A decision enqueues the positive literal of the VSIDS
+   pick and no phase is saved, so a model sets every variable the
+   clauses leave free to true.  The search answers Sat as soon as the
+   trail covers every variable. *)
 
 let no_reason = -1
 
@@ -78,7 +80,6 @@ type t = {
   mutable level : int array;
   mutable reason : int array;
   mutable activity : float array;
-  mutable polarity : bool array;
   mutable heap : int array;
   mutable heap_pos : int array;
   mutable heap_len : int;
@@ -98,7 +99,6 @@ type t = {
   mutable n_clauses : int;
   mutable n_learnts : int;
   mutable max_learnts : float;
-  mutable rng : Random.State.t;
   mutable group_size : int array;
       (* selector var -> live clauses added under it; -1 once retired *)
   mutable group_words : int array;  (* selector var -> their arena words *)
@@ -120,7 +120,6 @@ let create () =
     level = Array.make 2 0;
     reason = Array.make 2 no_reason;
     activity = Array.make 2 0.0;
-    polarity = Array.make 2 false;
     heap = Array.make 2 0;
     heap_pos = Array.make 2 (-1);
     heap_len = 0;
@@ -140,13 +139,11 @@ let create () =
     n_clauses = 0;
     n_learnts = 0;
     max_learnts = 8192.0;
-    rng = Random.State.make [| 91648253 |];
     group_size = Array.make 2 0;
     group_words = Array.make 2 0;
     buf = Array.make 16 0;
   }
 
-let set_seed s seed = s.rng <- Random.State.make [| seed |]
 let num_vars s = s.n_vars
 let num_conflicts s = s.conflicts
 let num_clauses s = s.n_clauses
@@ -251,7 +248,6 @@ let ensure_capacity s n =
     s.level <- grow s.level 0;
     s.reason <- grow s.reason no_reason;
     s.activity <- grow s.activity 0.0;
-    s.polarity <- grow s.polarity false;
     s.heap_pos <- grow s.heap_pos (-1);
     s.seen <- grow s.seen false;
     s.group_size <- grow s.group_size 0;
@@ -293,7 +289,6 @@ let cancel_until s lvl =
     let target = s.trail_lim.(lvl) in
     for i = s.trail_len - 1 downto target do
       let v = s.trail.(i) lsr 1 in
-      s.polarity.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- undef;
       heap_insert s v
     done;
@@ -862,7 +857,7 @@ let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
         let v = pick_branch_var s in
         s.decisions <- s.decisions + 1;
         new_decision_level s;
-        enqueue s (Lit.make v s.polarity.(v)) no_reason
+        enqueue s (Lit.pos v) no_reason
       end
     done;
     cancel_until s 0;

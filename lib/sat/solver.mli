@@ -1,6 +1,12 @@
 (** CDCL SAT solver with two-watched-literal propagation, 1-UIP
-    learning, VSIDS branching with phase saving, Luby restarts and
-    activity-based learned-clause reduction.
+    learning, VSIDS branching, Luby restarts and activity-based
+    learned-clause reduction.
+
+    Every decision sets the VSIDS pick to [true]; no phase is saved.
+    A model therefore drives every variable the clauses leave free to
+    [true], which is what the prover wants of a counterexample: the
+    candidates that die are almost all stuck-at-0 constants and
+    implications, and a model breaks those by driving nets to 1.
 
     The solver is incremental: clauses may be added between [solve]
     calls, and each call may carry assumption literals.  A conflict
@@ -86,8 +92,10 @@ val retire : t -> Lit.t -> unit
     is a no-op beyond the unit. *)
 
 val value : t -> int -> bool
-(** Model value of a variable after {!solve} returned [Sat].
-    Unconstrained variables read as [false]. *)
+(** Model value of a variable after {!solve} returned [Sat].  Free
+    variables read [true], because every decision is positive; a
+    variable created after the last [Sat] answer has no model value
+    and reads [false]. *)
 
 val lit_value : t -> Lit.t -> bool
 
@@ -110,6 +118,3 @@ val snapshot : t -> snapshot
     into the per-shard statistics. *)
 
 val num_clauses : t -> int
-
-val set_seed : t -> int -> unit
-(** Seeds the (rare) random branching decisions; default 91648253. *)

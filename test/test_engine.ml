@@ -179,6 +179,36 @@ let test_induction_implications () =
   let proved, _ = Engine.Induction.prove ~assume:D.net_true d cands in
   check "proved" true (List.exists (Engine.Candidate.equal expected) proved)
 
+(* Flops [q <= q | ~a] and [r <= x], both reset 0, under [assume = a]:
+   [q = 0] is inductive under the environment and [r = 0] is not.  A
+   lane where [a] was 0 once holds [q = 1] for good, so a simulation
+   that goes on observing it refutes the true invariant [q = 0]. *)
+let test_lane_leaves_environment () =
+  let d = D.create "leave_env" in
+  let a = D.add_input d "a" in
+  let x = D.add_input d "x" in
+  let na = D.add_cell d C.Inv [| a |] in
+  let q = D.new_net d in
+  let q_next = D.add_cell d C.Or2 [| q; na |] in
+  D.add_cell_out d ~init:false C.Dff [| q_next |] ~out:q;
+  let r = D.add_dff d ~d:x () in
+  D.add_output d "q" q;
+  D.add_output d "r" r;
+  let stim = Engine.Stimulus.unconstrained in
+  let q0 = Engine.Candidate.Const (q, false)
+  and r0 = Engine.Candidate.Const (r, false) in
+  let has c l = List.exists (Engine.Candidate.equal c) l in
+  check "mine: q = 0 mined" true (has q0 (Engine.Rsim.mine ~assume:a d stim));
+  check "refine: q = 0 survives" true
+    (has q0 (Engine.Rsim.refine ~assume:a d stim [ q0 ]));
+  let snap, _ = Engine.Induction.prove_snapshot ~assume:a d [ q0; r0 ] in
+  check "prove_snapshot: q = 0 proved, r = 0 not" true (snap = [ q0 ]);
+  let proved, _ =
+    Engine.Induction.prove ~cex:(stim, 24) ~assume:a d [ q0; r0 ]
+  in
+  check "prove with cex propagation: q = 0 proved, r = 0 not" true
+    (proved = [ q0 ])
+
 (* soundness: every proved invariant must hold on a long random sim *)
 let soundness_check d assume proved ~cycles =
   let sim = Netlist.Sim64.create d in
@@ -361,6 +391,8 @@ let () =
           Alcotest.test_case "deadline degrades gracefully" `Quick
             test_rsim_deadline;
           Alcotest.test_case "stimulus packing" `Quick test_stimulus_pack;
+          Alcotest.test_case "a lane that leaves the environment stays out"
+            `Quick test_lane_leaves_environment;
         ] );
       ( "induction",
         [

@@ -88,6 +88,29 @@ let test_assumptions () =
   check_result "sat without assumption" true (is_sat (Sat.Solver.solve s));
   check_result "v1 must be false" false (Sat.Solver.value s 0)
 
+(* The decision policy: every decision sets the VSIDS pick true, and no
+   phase survives a call.  Free variables therefore read true after Sat,
+   and a variable created since then reads false. *)
+let test_free_variables_read_true () =
+  let s = mk 4 in
+  Sat.Solver.add_clause s [ lit 1; lit 2 ];
+  check_result "sat" true (is_sat (Sat.Solver.solve s));
+  for v = 0 to 3 do
+    check_result (Printf.sprintf "v%d true" v) true (Sat.Solver.value s v)
+  done;
+  let fresh = Sat.Solver.new_var s in
+  check_result "variable created after Sat reads false" false
+    (Sat.Solver.value s fresh)
+
+let test_no_saved_phase () =
+  let s = mk 2 in
+  Sat.Solver.add_clause s [ lit 1; lit 2 ];
+  check_result "sat under not x" true
+    (is_sat (Sat.Solver.solve ~assumptions:[ lit (-1) ] s));
+  check_result "x false under the assumption" false (Sat.Solver.value s 0);
+  check_result "sat" true (is_sat (Sat.Solver.solve s));
+  check_result "x true once the assumption is gone" true (Sat.Solver.value s 0)
+
 let test_incremental () =
   let s = mk 3 in
   Sat.Solver.add_clause s [ lit 1; lit 2 ];
@@ -572,6 +595,9 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "incremental" `Quick test_incremental;
+          Alcotest.test_case "free variables read true" `Quick
+            test_free_variables_read_true;
+          Alcotest.test_case "no saved phase" `Quick test_no_saved_phase;
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "wall-clock deadline" `Quick test_deadline;
           Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
