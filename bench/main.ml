@@ -2,15 +2,12 @@
 
    Usage:  main.exe [target] [--fast] [--json] [--trace]
 
-   Targets: table1 table2 fig5 fig6 fig7 ablation micro parallel sat
-   lint all
+   Targets: table1 table2 fig5 fig6 fig7 ablation micro sat lint all
    (default: all).  Each figure target regenerates the corresponding
    paper table/figure as text rows (variant, area, gate count, deltas vs
    the "Full" baseline); `micro` runs one Bechamel timing per
-   table/figure on a representative kernel of that experiment;
-   `parallel` checks the sharded prover against the serial one on the
-   Ibex fig5 kernel (proved-set identity, warm-cache SAT skip, speedup
-   when the machine has cores to spare); `lint` times the structural
+   table/figure on a representative kernel of that experiment; `lint`
+   times the structural
    lint on all three cores (failing on any Error finding) and the
    certificate audit on an Ibex rv32i certified rewire.
 
@@ -20,8 +17,7 @@
 
    `--trace` writes TRACE_<target>.json (Chrome trace-event format,
    loadable in chrome://tracing / Perfetto) per target: one span per
-   pipeline stage and per forked proof worker, with SAT/rsim/cache
-   counters attached.
+   pipeline stage, with SAT/rsim/cache counters attached.
 
    By default Figure 7 runs on a scaled-down RIDECORE configuration
    (16-entry ROB / 48 physical registers) so the whole harness finishes
@@ -96,13 +92,9 @@ let top_costs_json (stats : Engine.Induction.stats) =
     (List.map
        (fun (r : Obs.Attr.row) ->
          Printf.sprintf
-           "{\"key\": \"%s\", \"shard\": %s, \"sat_calls\": %d, \
-            \"conflicts\": %d, \"wall_s\": %.4f}"
-           (json_escape r.Obs.Attr.a_key)
-           (match r.Obs.Attr.a_shard with
-           | Some s -> string_of_int s
-           | None -> "null")
-           r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
+           "{\"key\": \"%s\", \"sat_calls\": %d, \"conflicts\": %d, \
+            \"wall_s\": %.4f}"
+           (json_escape r.Obs.Attr.a_key) r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
        stats.Engine.Induction.top_costs)
 
 let counters_json cs =
@@ -119,10 +111,10 @@ let report_json (r : Pdat.Pipeline.report) =
          r.Pdat.Pipeline.stage_seconds)
   in
   Printf.sprintf
-    "{\"variant\": \"%s\", \"seconds\": %.3f, \"proved\": %d, \"jobs\": %d, \
+    "{\"variant\": \"%s\", \"seconds\": %.3f, \"proved\": %d, \
      \"sat_calls\": %d, \"stages\": {%s}, \"counters\": {%s}}"
     (json_escape r.Pdat.Pipeline.variant)
-    r.Pdat.Pipeline.seconds r.Pdat.Pipeline.proved r.Pdat.Pipeline.jobs
+    r.Pdat.Pipeline.seconds r.Pdat.Pipeline.proved
     r.Pdat.Pipeline.induction.Engine.Induction.sat_calls stages
     (counters_json r.Pdat.Pipeline.counters)
 
@@ -273,158 +265,6 @@ let run_micro () =
       | Some [ ns ] -> Format.printf "%-32s %12.0f ns/run@." name ns
       | Some _ | None -> Format.printf "%-32s (no estimate)@." name)
     results
-
-(* --- parallel prover check ---------------------------------------------- *)
-
-let run_parallel () =
-  Format.printf "== Parallel prover: Ibex fig5 kernel (cutpoint, rv32i) ==@.";
-  let t = Cores.Ibex_like.build () in
-  let d = t.Cores.Ibex_like.design in
-  let env =
-    Pdat.Environment.riscv_cutpoint d ~nets:(Cores.Ibex_like.cutpoint_nets t)
-      Isa.Subset.rv32i
-  in
-  let model = env.Pdat.Environment.model in
-  let assume = env.Pdat.Environment.assume in
-  let rsim = { Engine.Rsim.default with Engine.Rsim.cycles = 400; runs = 2 } in
-  let candidates =
-    Pdat.Property_library.mine ~config:rsim ~model ~assume
-      ~stimulus:env.Pdat.Environment.stimulus ()
-    |> Pdat.Property_library.restrict_to_original ~original:d
-  in
-  let candidates =
-    Engine.Rsim.refine ~config:rsim ~assume model
-      env.Pdat.Environment.stimulus candidates
-  in
-  Format.printf "%d candidates after refinement@." (List.length candidates);
-  let opts =
-    { Engine.Induction.k = 1; call_conflict_budget = 30_000;
-      total_conflict_budget = -1; time_budget_s = infinity }
-  in
-  let timed f =
-    let t0 = Obs.Clock.now_s () in
-    let r = f () in
-    (r, Obs.Clock.now_s () -. t0)
-  in
-  (* Forking more provers than cores only time-shares them (that
-     configuration measured 0.49x serial in PR 2), so the worker count
-     is the requested fan-out clamped to the online cores. *)
-  let cores = Obs.Hw.online_cores () in
-  let jobs_requested = 4 in
-  let jobs = max 1 (min jobs_requested cores) in
-  let serial_fallback = jobs <= 1 in
-  if serial_fallback then
-    Format.printf
-      "1 core online: running the \"parallel\" side serially (a forked \
-       prover would only time-share the core)@."
-  else if jobs < jobs_requested then
-    Format.printf "clamped workers to %d online core(s)@." cores;
-  (* no ~cex on either side: the provers must kill only on real
-     violations for the set-identity guarantee to be exact *)
-  let (p1, s1), t1 =
-    timed (fun () ->
-        Engine.Induction.prove_parallel ~options:opts ~jobs:1 ~assume model
-          candidates)
-  in
-  let (p4, s4), t4 =
-    timed (fun () ->
-        Engine.Induction.prove_parallel ~options:opts ~jobs ~assume model
-          candidates)
-  in
-  let sorted l = List.sort Engine.Candidate.compare l in
-  let identical = sorted p1 = sorted p4 in
-  Format.printf "jobs=1: proved %d in %.1fs (%a)@." (List.length p1) t1
-    Engine.Induction.pp_stats s1;
-  Format.printf "jobs=%d: proved %d in %.1fs (%a)@." jobs (List.length p4) t4
-    Engine.Induction.pp_stats s4;
-  if not identical then begin
-    Format.eprintf "FAIL: jobs=%d proved set differs from jobs=1@." jobs;
-    exit 1
-  end;
-  Format.printf "proved sets identical: yes@.";
-  (* speedup = serial time / parallel time, both sides measured on the
-     monotonic clock in this same process; > 1.0 means the forked
-     prover beat the serial one *)
-  let speedup = if t4 > 0. then t1 /. t4 else 0. in
-  if s4.Engine.Induction.workers > cores then begin
-    Format.eprintf "FAIL: %d workers forked on %d core(s)@."
-      s4.Engine.Induction.workers cores;
-    exit 1
-  end;
-  if cores >= 2 && not serial_fallback then begin
-    Format.printf "proof-stage speedup: %.2fx on %d cores@." speedup cores;
-    if speedup < 1.0 then begin
-      Format.eprintf
-        "FAIL: forked prover slower than serial (%.2fx) on %d cores@."
-        speedup cores;
-      exit 1
-    end
-  end
-  else
-    Format.printf
-      "(serial fallback on 1 core: both sides serial, measured %.2fx)@."
-      speedup;
-  (* warm-cache rerun must resolve (almost) everything without SAT *)
-  let cache = Engine.Proof_cache.create () in
-  let _, cold =
-    Engine.Induction.prove_parallel ~options:opts ~jobs ~cache ~assume model
-      candidates
-  in
-  let pw, warm =
-    Engine.Induction.prove_parallel ~options:opts ~jobs ~cache ~assume model
-      candidates
-  in
-  if sorted pw <> sorted p1 then begin
-    Format.eprintf "FAIL: warm-cache proved set differs@.";
-    exit 1
-  end;
-  let cold_calls = cold.Engine.Induction.sat_calls in
-  let warm_calls = warm.Engine.Induction.sat_calls in
-  let skipped_pct =
-    if cold_calls = 0 then 100.
-    else 100. *. (1. -. (float_of_int warm_calls /. float_of_int cold_calls))
-  in
-  Format.printf "warm cache: %d -> %d SAT calls (%.1f%% skipped)@." cold_calls
-    warm_calls skipped_pct;
-  if skipped_pct < 95. then begin
-    Format.eprintf "FAIL: warm cache skipped only %.1f%% of SAT calls@."
-      skipped_pct;
-    exit 1
-  end;
-  if json then
-    write_bench_json "parallel"
-      (Printf.sprintf
-         "  \"candidates\": %d,\n  \"proved\": %d,\n  \"identical\": %b,\n  \
-          \"cores\": %d,\n  \"jobs_requested\": %d,\n  \
-          \"jobs_effective\": %d,\n  \"serial_fallback\": %b,\n  \
-          \"t_serial_s\": %.3f,\n  \"t_parallel_s\": %.3f,\n  \
-          \"speedup\": %.3f,\n  \"workers\": %d,\n  \"workers_failed\": %d,\n  \
-          \"worker_retries\": %d,\n  \"worker_fallbacks\": %d,\n  \
-          \"resumed_shards\": %d,\n  \
-          \"shard_sizes\": [%s],\n  \"worker_times\": [%s],\n  \
-          \"worker_wall_max_s\": %.3f,\n  \"worker_wall_mean_s\": %.3f,\n  \
-          \"worker_idle_frac\": %.3f,\n  \"top_costs\": [%s],\n  \
-          \"cold_sat_calls\": %d,\n  \"warm_sat_calls\": %d,\n  \
-          \"cache_skipped_pct\": %.1f\n"
-         (List.length candidates) (List.length p1) identical cores
-         jobs_requested jobs serial_fallback t1 t4 speedup
-         s4.Engine.Induction.workers s4.Engine.Induction.workers_failed
-         s4.Engine.Induction.worker_retries
-         s4.Engine.Induction.worker_fallbacks
-         s4.Engine.Induction.resumed_shards
-         (String.concat ", "
-            (List.map string_of_int s4.Engine.Induction.shard_sizes))
-         (String.concat ", "
-            (List.map
-               (fun (i, wall, cpu) ->
-                 Printf.sprintf
-                   "{\"worker\": %d, \"wall_s\": %.3f, \"cpu_s\": %.3f}" i wall
-                   cpu)
-               s4.Engine.Induction.worker_times))
-         s4.Engine.Induction.worker_wall_max_s
-         s4.Engine.Induction.worker_wall_mean_s
-         s4.Engine.Induction.worker_idle_frac (top_costs_json s4) cold_calls
-         warm_calls skipped_pct)
 
 (* --- static analysis ---------------------------------------------------- *)
 
@@ -633,7 +473,6 @@ let () =
     | "fig7" -> run_fig7 ()
     | "ablation" -> run_ablation ()
     | "micro" -> run_micro ()
-    | "parallel" -> run_parallel ()
     | "sat" -> run_sat ()
     | "lint" -> run_lint ()
     | "all" ->
@@ -644,7 +483,6 @@ let () =
         run_fig7 ();
         run_ablation ();
         run_micro ();
-        run_parallel ();
         run_sat ();
         run_lint ()
     | other ->

@@ -23,14 +23,6 @@ let fast =
   let doc = "Use the reduced RIDECORE configuration." in
   Arg.(value & flag & info [ "fast" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker processes for the proof stage (defaults to \\$(b,PDAT_JOBS) or \
-     1; always clamped to the online core count). The parallel prover's \
-     join round makes the proved set identical to a serial run."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc ~docv:"N")
-
 let cache_dir_arg =
   let doc =
     "Directory for the persistent proof cache; candidates with a recorded \
@@ -41,27 +33,18 @@ let cache_dir_arg =
 
 let make_cache = Option.map (fun d -> Engine.Proof_cache.create ~dir:d ())
 
-let retries_arg =
-  let doc =
-    "Per-shard retry budget of the supervised proof workers (defaults to \
-     \\$(b,PDAT_RETRIES) or 2).  A shard that exhausts its retries is \
-     proved serially in-process, so no shard is ever dropped."
-  in
-  Arg.(value & opt (some int) None & info [ "retries" ] ~doc ~docv:"N")
-
 let run_dir_arg =
   let doc =
     "Journal the run: an append-only, checksummed $(b,journal.jsonl) in \
-     $(docv) records stage completions and per-shard proof checkpoints, \
-     making the run resumable after a crash (see $(b,--resume))."
+     $(docv) records stage completions, making the run resumable after a crash (see $(b,--resume))."
   in
   Arg.(value & opt (some string) None & info [ "run-dir" ] ~doc ~docv:"DIR")
 
 let resume_flag =
   let doc =
-    "Resume from the journal in $(b,--run-dir): completed stages and proof \
-     shards are replayed instead of recomputed; a torn tail from a crash \
-     is truncated.  Fails if the journal belongs to a different \
+    "Resume from the journal in $(b,--run-dir): completed stages are \
+     replayed instead of recomputed; a torn tail from a crash is \
+     truncated.  Fails if the journal belongs to a different \
      netlist/environment."
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
@@ -89,13 +72,13 @@ let run_cmd =
   let variants =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"VARIANT")
   in
-  let run fast jobs cache_dir ids =
+  let run fast cache_dir ids =
     let cache = make_cache cache_dir in
     List.iter
       (fun id ->
         match Experiments.Variants.find id with
         | v ->
-            let row = Experiments.Runner.run ~fast ?jobs ?cache v in
+            let row = Experiments.Runner.run ~fast ?cache v in
             Format.printf "%a@." Experiments.Runner.pp_row row
         | exception Not_found ->
             Format.eprintf "unknown variant %s (try `pdat list')@." id;
@@ -104,7 +87,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run catalog variants through the PDAT pipeline")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ variants)
+    Term.(const run $ fast $ cache_dir_arg $ variants)
 
 (* ---------------- core / subset parsing ------------------------------- *)
 
@@ -235,8 +218,8 @@ let lint_gate_arg =
 
 let trace_arg =
   let doc =
-    "Write an execution trace to $(docv): one span per pipeline stage and \
-     per proof worker, each carrying its SAT/rsim/cache counters. A \
+    "Write an execution trace to $(docv): one span per pipeline stage, \
+     each carrying its SAT/rsim/cache counters. A \
      $(b,.jsonl) path selects JSON-lines; anything else is Chrome \
      trace-event JSON (open in chrome://tracing or Perfetto). The \
      $(b,PDAT_TRACE) environment variable is the flagless equivalent."
@@ -246,8 +229,7 @@ let trace_arg =
 let log_arg =
   let doc =
     "Write a structured run log to $(docv): leveled JSONL events \
-     (run/stage start and end with budget allocations, prover worker \
-     failures, periodic proof heartbeats with settled counts and ETA). \
+     (run/stage start and end with budget allocations). \
      $(b,PDAT_LOG) is the flagless equivalent; $(b,PDAT_LOG_LEVEL) \
      (debug/info/warn/error) sets the threshold."
   in
@@ -266,9 +248,8 @@ let reduce_cmd =
   let port_flag =
     Arg.(value & flag & info [ "port" ] ~doc:"Force port-based constraints.")
   in
-  let run fast jobs cache_dir core subset_name port out validate
-      time_budget lint inject_kind trace log metrics_out run_dir resume
-      retries =
+  let run fast cache_dir core subset_name port out validate time_budget
+      lint inject_kind trace log metrics_out run_dir resume =
     if inject_kind <> None && not validate then begin
       Format.eprintf "--inject requires --validate to mean anything@.";
       exit 1
@@ -284,10 +265,10 @@ let reduce_cmd =
     in
     let result =
       match
-        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir) ~validate
+        Pdat.Pipeline.run ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint ?inject
           ?trace:(Option.map Obs.sink_of_path trace) ?log ?metrics_out
-          ?run_dir ~resume ?retries ~design ~env ()
+          ?run_dir ~resume ~design ~env ()
       with
       | r -> r
       | exception Pdat.Pipeline.Rejected diags ->
@@ -320,10 +301,10 @@ let reduce_cmd =
   Cmd.v
     (Cmd.info "reduce"
        ~doc:"Reduce a core for an ISA subset and optionally export Verilog")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ core_arg
+    Term.(const run $ fast $ cache_dir_arg $ core_arg
           $ subset_arg $ port_flag $ out_arg $ validate_flag
           $ time_budget_arg $ lint_gate_arg $ inject_arg $ trace_arg $ log_arg
-          $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
+          $ metrics_out_arg $ run_dir_arg $ resume_flag)
 
 (* ---------------- lint ------------------------------------------------ *)
 
@@ -435,8 +416,8 @@ let report_cmd =
     in
     Arg.(value & opt string "." & info [ "out-dir" ] ~doc ~docv:"DIR")
   in
-  let run fast jobs cache_dir core subset_name port validate time_budget
-      dump_cex out_dir log metrics_out run_dir resume retries =
+  let run fast cache_dir core subset_name port validate time_budget
+      dump_cex out_dir log metrics_out run_dir resume =
     if resume && run_dir = None then begin
       Format.eprintf "--resume needs --run-dir to locate the journal@.";
       exit 1
@@ -446,9 +427,9 @@ let report_cmd =
     let prov = Report.Provenance.create () in
     let result =
       match
-        Pdat.Pipeline.run ?jobs ?cache:(make_cache cache_dir) ~validate
+        Pdat.Pipeline.run ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint:Analysis.Lint.Warn ~provenance:prov ?dump_cex
-          ?log ?metrics_out ?run_dir ~resume ?retries ~design ~env ()
+          ?log ?metrics_out ?run_dir ~resume ~design ~env ()
       with
       | r -> r
       | exception Pdat.Pipeline.Rejected diags ->
@@ -471,7 +452,6 @@ let report_cmd =
             Report.Render.rs_journal = ri.Pdat.Pipeline.journal_path;
             rs_resumed = ri.Pdat.Pipeline.resumed;
             rs_stages = ri.Pdat.Pipeline.resumed_stages;
-            rs_shards = ri.Pdat.Pipeline.resumed_shards;
             rs_dropped_lines = ri.Pdat.Pipeline.journal_dropped_lines;
           })
         result.Pdat.Pipeline.report.Pdat.Pipeline.resume
@@ -500,10 +480,10 @@ let report_cmd =
        ~doc:
          "Run the pipeline with full provenance tracking and emit the \
           machine-readable and human run reports")
-    Term.(const run $ fast $ jobs_arg $ cache_dir_arg $ core_arg
+    Term.(const run $ fast $ cache_dir_arg $ core_arg
           $ subset_arg $ port_flag $ validate_flag
           $ time_budget_arg $ dump_cex_arg $ out_dir_arg $ log_arg
-          $ metrics_out_arg $ run_dir_arg $ resume_flag $ retries_arg)
+          $ metrics_out_arg $ run_dir_arg $ resume_flag)
 
 (* ---------------- chaos ------------------------------------------------ *)
 
@@ -518,12 +498,10 @@ let chaos_cmd =
     in
     Arg.(value & opt string "_chaos" & info [ "dir" ] ~doc ~docv:"DIR")
   in
-  let run fast jobs retries core subset_name port dir =
+  let run fast core subset_name port dir =
     let design, cut_nets = build_core ~fast core in
     let env = make_env ~port core subset_name design cut_nets in
-    let scenarios =
-      Pdat.Chaos_harness.matrix ?jobs ?retries ~dir ~design ~env ()
-    in
+    let scenarios = Pdat.Chaos_harness.matrix ~dir ~design ~env () in
     List.iter
       (fun s ->
         Format.printf "%-16s %s  %s@." s.Pdat.Chaos_harness.name
@@ -535,11 +513,10 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Run the crash-safety chaos matrix (worker kills, cache \
-          truncation, SIGTERM + resume) and verify every scenario lands \
-          on the undisturbed run's result")
-    Term.(const run $ fast $ jobs_arg $ retries_arg $ core_arg $ subset_arg
-          $ port_flag $ dir_arg)
+         "Run the crash-safety chaos matrix (cache truncation, SIGTERM + \
+          resume) and verify every scenario lands on the undisturbed run's \
+          result")
+    Term.(const run $ fast $ core_arg $ subset_arg $ port_flag $ dir_arg)
 
 (* ---------------- perf ------------------------------------------------- *)
 

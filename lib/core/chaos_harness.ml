@@ -32,13 +32,9 @@ let proved_keys prov =
          | _ -> None)
   |> List.sort compare
 
-let run_once ?jobs ?cache ?run_dir ?(resume = false) ?retries ~design ~env ()
-    =
+let run_once ?cache ?run_dir ?(resume = false) ~design ~env () =
   let prov = Report.Provenance.create () in
-  let r =
-    Pipeline.run ?jobs ?cache ?run_dir ~resume ?retries ~provenance:prov
-      ~design ~env ()
-  in
+  let r = Pipeline.run ?cache ?run_dir ~resume ~provenance:prov ~design ~env () in
   (proved_keys prov, design_digest r.Pipeline.reduced, r)
 
 let describe_outcome ~base_keys ~base_digest keys digest =
@@ -51,52 +47,14 @@ let describe_outcome ~base_keys ~base_digest keys digest =
         (List.length keys) (List.length base_keys) )
   else (false, "reduced netlist diverged from baseline")
 
-let matrix ?(jobs = 2) ?(retries = 2) ~dir ~design ~env () =
+let matrix ~dir ~design ~env () =
   mkdir_p dir;
   Engine.Chaos.reset ();
-  (* the reference: one undisturbed, fully serial run *)
+  (* the reference: one undisturbed run *)
   let base_keys, base_digest, _ =
-    with_env [ ("PDAT_CHAOS", "") ] (fun () ->
-        run_once ~jobs:1 ~design ~env ())
+    with_env [ ("PDAT_CHAOS", "") ] (fun () -> run_once ~design ~env ())
   in
   let check = describe_outcome ~base_keys ~base_digest in
-  let worker_kill () =
-    Engine.Chaos.reset ();
-    let keys, digest, r =
-      with_env
-        [ ("PDAT_CHAOS", "worker-kill");
-          ("PDAT_FORCE_CORES", string_of_int jobs) ]
-        (fun () -> run_once ~jobs ~retries ~design ~env ())
-    in
-    let st = r.Pipeline.report.Pipeline.induction in
-    if st.Engine.Induction.workers < 2 then
-      {
-        name = "worker-kill";
-        ok = false;
-        detail =
-          Printf.sprintf
-            "vacuous: proof stage did not shard (workers=%d) — design too \
-             small for the matrix"
-            st.Engine.Induction.workers;
-      }
-    else if st.Engine.Induction.workers_failed = 0 then
-      {
-        name = "worker-kill";
-        ok = false;
-        detail = "vacuous: chaos kill never fired (no worker failures)";
-      }
-    else
-      let ok, detail = check keys digest in
-      {
-        name = "worker-kill";
-        ok;
-        detail =
-          Printf.sprintf "%s (%d kills, %d retries, %d fallbacks)" detail
-            st.Engine.Induction.workers_failed
-            st.Engine.Induction.worker_retries
-            st.Engine.Induction.worker_fallbacks;
-      }
-  in
   let cache_trunc () =
     Engine.Chaos.reset ();
     let cache_dir = Filename.concat dir "chaos-cache" in
@@ -104,14 +62,14 @@ let matrix ?(jobs = 2) ?(retries = 2) ~dir ~design ~env () =
     let keys1, digest1, _ =
       with_env [ ("PDAT_CHAOS", "cache-trunc") ] (fun () ->
           let cache = Engine.Proof_cache.create ~dir:cache_dir () in
-          run_once ~jobs:1 ~cache ~design ~env ())
+          run_once ~cache ~design ~env ())
     in
     Engine.Chaos.reset ();
     (* run 2 opens the damaged cache cold: salvage + quarantine *)
     let cache2 = Engine.Proof_cache.create ~dir:cache_dir () in
     let keys2, digest2, _ =
       with_env [ ("PDAT_CHAOS", "") ] (fun () ->
-          run_once ~jobs:1 ~cache:cache2 ~design ~env ())
+          run_once ~cache:cache2 ~design ~env ())
     in
     let cstats = Engine.Proof_cache.stats cache2 in
     let ok1, d1 = check keys1 digest1 in
@@ -149,7 +107,7 @@ let matrix ?(jobs = 2) ?(retries = 2) ~dir ~design ~env () =
              never fired. *)
           (try
              Unix.putenv "PDAT_CHAOS" "sigterm:prove";
-             ignore (run_once ~jobs:1 ~run_dir ~design ~env ())
+             ignore (run_once ~run_dir ~design ~env ())
            with _ -> ());
           Unix._exit 0
       | pid -> (
@@ -170,7 +128,7 @@ let matrix ?(jobs = 2) ?(retries = 2) ~dir ~design ~env () =
     else
       let keys, digest, r =
         with_env [ ("PDAT_CHAOS", "") ] (fun () ->
-            run_once ~jobs:1 ~run_dir ~resume:true ~design ~env ())
+            run_once ~run_dir ~resume:true ~design ~env ())
       in
       let ok, detail = check keys digest in
       let resumed =
@@ -193,4 +151,4 @@ let matrix ?(jobs = 2) ?(retries = 2) ~dir ~design ~env () =
               (String.concat ", " resumed);
         }
   in
-  [ worker_kill (); cache_trunc (); sigterm_resume () ]
+  [ cache_trunc (); sigterm_resume () ]

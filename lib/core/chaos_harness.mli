@@ -4,10 +4,8 @@
     Each scenario injects one fault class via the {!Engine.Chaos} hooks
     ([PDAT_CHAOS]), runs the full pipeline, and asserts that the
     outcome — the proved invariant set and the reduced netlist — is
-    byte-identical to an undisturbed serial run of the same design:
+    byte-identical to an undisturbed run of the same design:
 
-    - ["worker-kill"]: every proof worker SIGKILLs itself at shard
-      start (first attempt); supervision must retry and lose nothing.
     - ["cache-trunc"]: the first flushed proof-cache scope file is
       truncated mid-entry; the next run over the same cache directory
       must salvage the valid prefix, quarantine the damage, and still
@@ -26,18 +24,14 @@ type scenario = {
 }
 
 val matrix :
-  ?jobs:int ->
-  ?retries:int ->
   dir:string ->
   design:Netlist.Design.t ->
   env:Environment.t ->
   unit ->
   scenario list
 (** Run the full matrix.  [dir] is a scratch directory (created if
-    missing) for the cache and run directories the scenarios need;
-    [jobs] (default 2) is the forced worker count for the parallel
-    scenarios, [retries] (default 2) the supervision retry budget.
-    Temporarily sets [PDAT_CHAOS] / [PDAT_FORCE_CORES] around each
-    scenario and restores them. *)
+    missing) for the cache and run directories the scenarios need.
+    Temporarily sets [PDAT_CHAOS] around each scenario and restores
+    it. *)
 
 val all_ok : scenario list -> bool

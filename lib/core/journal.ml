@@ -5,7 +5,6 @@ type t = { path : string; mutable oc : out_channel option }
 type recovered = {
   r_label : string;
   r_stages : (string * string list) list;
-  r_shards : (string * string list) list;
   r_complete : bool;
   r_dropped_lines : int;
 }
@@ -194,11 +193,6 @@ let record_stage t ~name ~items =
     (Printf.sprintf "\"type\":\"stage\",\"name\":%s,\"items\":%s}" (jstr name)
        (jlist items))
 
-let record_shard t ~fp ~proved =
-  write_record t
-    (Printf.sprintf "\"type\":\"shard\",\"fp\":%s,\"proved\":%s}" (jstr fp)
-       (jlist proved))
-
 let record_end t ~ok =
   write_record t
     (Printf.sprintf "\"type\":\"end\",\"ok\":%s}" (if ok then "true" else "false"))
@@ -221,7 +215,6 @@ let resume ~dir ~digest =
   let ic = open_in_bin jp in
   let label = ref "" in
   let stages = ref [] in
-  let shards = ref [] in
   let complete = ref false in
   let dropped = ref 0 in
   let good_upto = ref 0 in
@@ -276,14 +269,10 @@ let resume ~dir ~digest =
                           (stages := (name, items) :: !stages;
                            true)
                       | _ -> false)
-                  | Some (Jstr "shard") -> (
-                      match (field fs "fp", field fs "proved") with
-                      | Some (Jstr fp), Some (Jarr proved) ->
-                          !header_seen
-                          &&
-                          (shards := (fp, proved) :: !shards;
-                           true)
-                      | _ -> false)
+                  | Some (Jstr "shard") ->
+                      (* a proof-shard checkpoint from the deleted fork
+                         pool: nothing replays it, but it is no damage *)
+                      !header_seen
                   | Some (Jstr "end") -> (
                       match field fs "ok" with
                       | Some (Jbool b) ->
@@ -317,7 +306,6 @@ let resume ~dir ~digest =
     {
       r_label = !label;
       r_stages = List.rev !stages;
-      r_shards = List.rev !shards;
       r_complete = !complete;
       r_dropped_lines = !dropped;
     } )

@@ -3,9 +3,9 @@
 
     A journaled run records, in order: a header pinning the netlist and
     environment digest, one record per completed pipeline stage (with
-    the surviving candidate keys, {!Engine.Candidate.key} form), one
-    record per proof shard settled by the parallel prover (under its
-    {!Engine.Induction.shard_fingerprint}), and a final end marker.
+    the surviving candidate keys, {!Engine.Candidate.key} form), and a
+    final end marker.  Journals written while the prover could fork
+    also hold [shard] checkpoint records; {!resume} skips them.
 
     The file is [<dir>/journal.jsonl]: one flat JSON object per line,
     each prefixed with a CRC-32 of the rest of the line, flushed and
@@ -30,8 +30,6 @@ type recovered = {
   r_stages : (string * string list) list;
       (** completed stages in order, each with its surviving candidate
           keys (empty for stages that carry none) *)
-  r_shards : (string * string list) list;
-      (** settled proof shards: (fingerprint, proved candidate keys) *)
   r_complete : bool;  (** an end marker was journaled — nothing to redo *)
   r_dropped_lines : int;
       (** torn/corrupt tail lines truncated during replay *)
@@ -51,9 +49,6 @@ val resume : dir:string -> digest:string -> t * recovered
 val record_stage : t -> name:string -> items:string list -> unit
 (** Journal stage [name] as complete, with its surviving candidate
     keys.  Flushed and fsynced before returning. *)
-
-val record_shard : t -> fp:string -> proved:string list -> unit
-(** Journal one settled proof shard.  Flushed and fsynced. *)
 
 val record_end : t -> ok:bool -> unit
 (** Journal the run's completion. *)

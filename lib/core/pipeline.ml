@@ -15,7 +15,6 @@ type resume_info = {
   journal_path : string;
   resumed : bool;
   resumed_stages : string list;
-  resumed_shards : int;
   journal_dropped_lines : int;
 }
 
@@ -29,7 +28,6 @@ type report = {
   seconds : float;
   stage_seconds : (string * float) list;
   counters : (string * float) list;
-  jobs : int;
   proof_budget_s : float;
   validation : Validate.outcome option;
   validated : bool;
@@ -53,21 +51,6 @@ let baseline d =
 
 let default_refine =
   { Engine.Rsim.default with Engine.Rsim.cycles = 2048; runs = 4 }
-
-(* Requested worker counts are clamped to the cores actually online:
-   forking more provers than cores just adds scheduler churn and was
-   the root cause of the PR-2 "parallel" prover running at half serial
-   speed on a 1-core box. *)
-let clamp_jobs requested = max 1 (min requested (Obs.Hw.online_cores ()))
-
-let default_jobs () =
-  clamp_jobs
-    (match Sys.getenv_opt "PDAT_JOBS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j > 0 -> j
-        | _ -> 1)
-    | None -> 1)
 
 (* Budgeted stages and their relative weights.  The validate entry only
    participates when validation is on, so with it off the proof stage's
@@ -144,11 +127,10 @@ let run_digest ~design ~env =
        ^ "+"
        ^ Engine.Proof_cache.scope_digest design ~assume:Netlist.Design.net_true))
 
-let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
+let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
     ?absint:_ ?(validate = false) ?validate_config ?validate_stimulus
     ?time_budget ?(lint = Analysis.Lint.Off) ?inject ?provenance ?dump_cex
-    ?trace ?log ?metrics_out ?run_dir ?(resume = false) ?retries ~design ~env
-    () =
+    ?trace ?log ?metrics_out ?run_dir ?(resume = false) ~design ~env () =
   let env_path var =
     match Sys.getenv_opt var with
     | Some p when String.trim p <> "" -> Some p
@@ -208,9 +190,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
     | None, None -> None
   in
   let t0 = Obs.Clock.now_s () in
-  let jobs =
-    match jobs with Some j -> clamp_jobs j | None -> default_jobs ()
-  in
   (* a zero or negative budget is not "unlimited" — it is a budget that
      is already spent, so every budgeted stage sees an expired deadline
      and degrades to its empty result immediately *)
@@ -292,11 +271,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
     r
   in
   Obs.Log.event ~stage:"run" "run-start"
-    ~kv:
-      [
-        ("variant", Obs.Str env.Environment.description);
-        ("jobs", Obs.Int jobs);
-      ];
+    ~kv:[ ("variant", Obs.Str env.Environment.description) ];
   let injected = ref None in
   let try_fault hook =
     match inject with
@@ -392,7 +367,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
     match recovered_stage "prove" with
     | Some keys ->
         (* the whole proof stage completed in the prior run: its proved
-           set is final (the journal records it after the join round) *)
+           set is final *)
         resumed_stages := "prove" :: !resumed_stages;
         timed "prove" (fun () ->
             let proved = List.filter_map Engine.Candidate.of_key keys in
@@ -413,7 +388,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
                                    max 1 induction_options.Engine.Induction.k;
                                }
                            else Engine.Induction.V_dropped "resumed");
-                        shard = None;
                         cache_hit = false;
                       })
                   candidates);
@@ -424,27 +398,9 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
                 n_proved = List.length proved;
               } ))
     | None ->
-        let checkpoint =
-          Option.map
-            (fun j fp shard_proved ->
-              Journal.record_shard j ~fp
-                ~proved:(List.map Engine.Candidate.key shard_proved))
-            journal
-        in
-        let recovered_shards =
-          match recovered with
-          | None -> []
-          | Some r ->
-              List.map
-                (fun (fp, keys) ->
-                  (fp, List.filter_map Engine.Candidate.of_key keys))
-                r.Journal.r_shards
-        in
         timed "prove" (fun () ->
             Engine.Induction.prove_parallel ~options:induction_options
-              ?attributions ~cex:(env.Environment.stimulus, 24) ~jobs ?cache
-              ?retries ?checkpoint
-              ~recovered:recovered_shards
+              ?attributions ~cex:(env.Environment.stimulus, 24) ?cache
               ~assume:env.Environment.assume env.Environment.model candidates)
   in
   journal_stage "prove" (List.map Engine.Candidate.key proved);
@@ -555,7 +511,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
           journal_path = Journal.path j;
           resumed = recovered <> None;
           resumed_stages = List.rev !resumed_stages;
-          resumed_shards = istats.Engine.Induction.resumed_shards;
           journal_dropped_lines =
             (match recovered with
             | Some r -> r.Journal.r_dropped_lines
@@ -584,7 +539,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve:_
         seconds = Obs.Clock.now_s () -. t0;
         stage_seconds = List.rev !stage_seconds;
         counters = Obs.counters_delta ~since:counters0;
-        jobs;
         proof_budget_s = Float.max 0. (Option.value proof_alloc ~default:0.);
         validation;
         validated;
@@ -606,7 +560,7 @@ type self_test_entry = {
   cex_files : string list;
 }
 
-let self_test ?rsim ?refine ?induction ?jobs ?cache ?validate_config
+let self_test ?rsim ?refine ?induction ?cache ?validate_config
     ?validate_stimulus ?(lint = Analysis.Lint.Strict) ?(seed = 7) ?dump_cex
     ~design ~env () =
   (match dump_cex with
@@ -620,7 +574,7 @@ let self_test ?rsim ?refine ?induction ?jobs ?cache ?validate_config
         Option.map (fun d -> Filename.concat d (Faults.name kind)) dump_cex
       in
       let r =
-        run ?rsim ?refine ?induction ?jobs ?cache ~validate:true
+        run ?rsim ?refine ?induction ?cache ~validate:true
           ?validate_config ?validate_stimulus ~lint ~provenance:prov
           ?dump_cex:sub ~inject:{ Faults.kind; seed } ~design ~env ()
       in
@@ -657,14 +611,12 @@ let pp_report fmt r =
     (Netlist.Stats.gate_count r.before)
     (Netlist.Stats.gate_count r.after)
     (gate_delta_pct r) r.seconds;
-  if r.jobs > 1 then Format.fprintf fmt " [jobs=%d]" r.jobs;
   (match r.resume with
   | Some ri when ri.resumed ->
-      Format.fprintf fmt "@,resumed from %s: %d stage(s) [%s], %d shard(s)%s"
+      Format.fprintf fmt "@,resumed from %s: %d stage(s) [%s]%s"
         ri.journal_path
         (List.length ri.resumed_stages)
         (String.concat ", " ri.resumed_stages)
-        ri.resumed_shards
         (if ri.journal_dropped_lines > 0 then
            Printf.sprintf " (%d torn line(s) truncated)"
              ri.journal_dropped_lines

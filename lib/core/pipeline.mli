@@ -50,9 +50,6 @@ type resume_info = {
   resumed : bool;         (** this run replayed a prior journal *)
   resumed_stages : string list;
       (** stages whose results were replayed instead of recomputed *)
-  resumed_shards : int;
-      (** proof shards settled from journal checkpoints (partial-proof
-          resume; [0] when the whole proof stage was replayed) *)
   journal_dropped_lines : int;
       (** torn/corrupt journal tail lines truncated during replay *)
 }
@@ -73,9 +70,6 @@ type report = {
       (** {!Obs} counters this run moved (SAT decisions/conflicts/
           propagations, simulated rsim cycles, proof-cache hits/misses),
           as deltas against the counter state at [run] entry *)
-  jobs : int;
-      (** worker processes the proof stage was allowed, after clamping
-          the request to the online core count *)
   proof_budget_s : float;
       (** wall-clock granted to the proof stage by the budget allocator;
           [0.] when the run had no [~time_budget] *)
@@ -106,12 +100,6 @@ type result = {
 val baseline : Netlist.Design.t -> Netlist.Design.t * Netlist.Stats.t
 (** Plain synthesis of the input, the paper's "Full" variant. *)
 
-val default_jobs : unit -> int
-(** The proof-stage worker count used when [run] gets no [?jobs]: the
-    [PDAT_JOBS] environment variable (default 1), clamped to
-    {!Obs.Hw.online_cores} — forking more provers than cores only adds
-    scheduler churn.  An explicit [?jobs] is clamped the same way. *)
-
 val max_cex_dumps : int
 (** Cap on waveforms written per run by [?dump_cex] (records are
     visited in provenance-id order, so the sample is deterministic). *)
@@ -137,7 +125,6 @@ val run :
   ?metrics_out:string ->
   ?run_dir:string ->
   ?resume:bool ->
-  ?retries:int ->
   design:Netlist.Design.t ->
   env:Environment.t ->
   unit ->
@@ -146,16 +133,14 @@ val run :
     simulation pass that weeds out false candidates before the prover
     (default: 4 runs of 2048 cycles).
 
-    [jobs] is the proof-stage worker count, handed to
-    {!Engine.Induction.prove_parallel}; it defaults to the [PDAT_JOBS]
-    environment variable, or 1 (fully serial, no forking).  [cache], if
-    given, settles previously-decided candidates without SAT and is
-    flushed to disk (when disk-backed) right after the proof stage.
+    [cache], if given, settles previously-decided candidates without
+    SAT and is flushed to disk (when disk-backed) right after the proof
+    stage.
 
-    [sieve] and [absint] are ignored: nothing reads them.  They are
-    kept only so that callers written when they switched on the (since
-    removed) simulation-signature sieve and abstract-interpretation
-    prover tier still compile.
+    [jobs], [sieve] and [absint] are ignored: nothing reads them.  They
+    are kept only so that callers written for the (since removed) fork
+    pool, simulation-signature sieve and abstract-interpretation prover
+    tier still compile.
 
     [validate] (default [false]) enables differential validation; on a
     divergence or an uncomparable interface the result falls back to
@@ -172,15 +157,13 @@ val run :
 
     [run_dir], when given, makes the run {e journaled}: an append-only,
     checksummed [journal.jsonl] in that directory records the run's
-    digest, each completed stage's surviving candidate keys, and each
-    proof shard's checkpoint as they happen (see {!Journal}).
-    [resume:true] replays that journal instead of starting cold —
-    stages and proof shards already journaled are not recomputed, and a
-    torn tail from a crash is truncated away; raises
+    digest and each completed stage's surviving candidate keys as they
+    happen (see {!Journal}).  [resume:true] replays that journal
+    instead of starting cold — stages already journaled are not
+    recomputed, and a torn tail from a crash is truncated away; raises
     {!Journal.Mismatch} if the journal belongs to a different
-    netlist/environment.  [retries] is the per-shard retry count of the
-    supervised prover (see {!Engine.Induction.prove_parallel}).  The
-    report's [resume] field records what was replayed.
+    netlist/environment.  The report's [resume] field records what was
+    replayed.
 
     [lint] (default [Off]) is the static-analysis gate described above.
 
@@ -190,7 +173,7 @@ val run :
     [provenance], when given, is filled as the run progresses: every
     post-restrict mined candidate is registered and annotated with its
     mining round, refinement kill (with replayable counterexample),
-    prover verdict/shard/cache-hit, the rewire certificate with
+    prover verdict/cache-hit, the rewire certificate with
     per-edit invariant citations and attributed dead cells, and the
     four design snapshots (original, rewired, reduced, baseline) —
     everything {!Report.Render} needs.  Audit diagnostics then cite
@@ -204,19 +187,16 @@ val run :
     internally, so the dump works on its own.
 
     [trace] writes an execution trace of the run to the given {!Obs}
-    sink: one span per stage, one span per forked proof worker (under
-    the worker's own pid), each carrying the SAT/rsim/cache counters it
-    moved, plus final counter totals.  Chrome sinks load directly in
+    sink: one span per stage, each carrying the SAT/rsim/cache counters
+    it moved, plus final counter totals.  Chrome sinks load directly in
     [chrome://tracing] / Perfetto.  When [trace] is absent, a non-empty
     [PDAT_TRACE] environment variable selects a sink by path
     ([.jsonl] → JSONL, anything else → Chrome JSON).  Tracing state is
     restored (and the file written) even when the run raises.
 
     [log] names a structured run-log file: leveled JSONL events
-    ({!Obs.Log}) — run-start/run-end, stage-start (with its budget
-    allocation) and stage-end per stage, prover worker failures and
-    periodic proof heartbeats with settled-candidate counts and the
-    budget-derived ETA.  When absent, a non-empty [PDAT_LOG]
+    ({!Obs.Log}) — run-start/run-end, and stage-start (with its budget
+    allocation) and stage-end per stage.  When absent, a non-empty [PDAT_LOG]
     environment variable names the file; [PDAT_LOG_LEVEL]
     (debug/info/warn/error) sets the threshold, default info.  The log
     is appended to (crash-safe: one [write] per line), left untouched
@@ -248,7 +228,6 @@ val self_test :
   ?rsim:Engine.Rsim.config ->
   ?refine:Engine.Rsim.config ->
   ?induction:Engine.Induction.options ->
-  ?jobs:int ->
   ?cache:Engine.Proof_cache.t ->
   ?validate_config:Validate.config ->
   ?validate_stimulus:Engine.Stimulus.t ->

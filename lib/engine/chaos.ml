@@ -1,6 +1,5 @@
 (* Spec parsing is deliberately re-done at each injection point: the
-   chaos matrix flips PDAT_CHAOS between scenarios with [putenv], and a
-   forked worker must see the value current at its own fork. *)
+   chaos matrix flips PDAT_CHAOS between scenarios with [putenv]. *)
 
 let specs () =
   match Sys.getenv_opt "PDAT_CHAOS" with
@@ -10,44 +9,13 @@ let specs () =
       |> List.map String.trim
       |> List.filter (fun x -> x <> "")
 
-(* One-shots are process-local: a forked worker starts with fresh
-   copies, which is what makes "worker-kill" fire once per attempted
-   worker rather than once per run. *)
+(* One-shots are process-local. *)
 let spent_cache_trunc = ref false
 let spent_sigterm = ref false
 
 let reset () =
   spent_cache_trunc := false;
   spent_sigterm := false
-
-let worker_kill_requested ~idx ~attempt =
-  if attempt <> 0 then `No
-  else
-    let legacy =
-      match Sys.getenv_opt "PDAT_KILL_WORKER" with
-      | Some s -> int_of_string_opt (String.trim s) = Some idx
-      | None -> false
-    in
-    if legacy then `Exit3
-    else if
-      List.exists
-        (fun spec ->
-          spec = "worker-kill"
-          || spec = Printf.sprintf "worker-kill:%d" idx)
-        (specs ())
-    then `Sigkill
-    else `No
-
-let worker_delay ~idx =
-  match Sys.getenv_opt "PDAT_SLOW_WORKER" with
-  | Some s -> (
-      match String.split_on_char ':' (String.trim s) with
-      | [ i; sec ] when int_of_string_opt i = Some idx -> (
-          match float_of_string_opt sec with
-          | Some d when d > 0. -> Unix.sleepf d
-          | _ -> ())
-      | _ -> ())
-  | None -> ()
 
 let cache_truncate ~path =
   if !spent_cache_trunc || not (List.mem "cache-trunc" (specs ())) then false

@@ -1,12 +1,8 @@
-(** Deterministic fault/chaos injection hooks, driven by environment
-    variables so they reach forked proof workers without plumbing.
+(** Deterministic fault/chaos injection hooks, driven by an environment
+    variable so they reach any process of a run without plumbing.
 
     [PDAT_CHAOS] holds a comma-separated list of fault specs:
 
-    - ["worker-kill"] / ["worker-kill:<i>"] — the matching proof worker
-      (every worker, or worker [i]) SIGKILLs itself at the start of its
-      shard, {e first attempt only}: the supervisor's retry must
-      succeed, which is exactly the property the chaos matrix asserts.
     - ["cache-trunc"] — the first proof-cache scope file flushed by this
       process is truncated to half its size right after the atomic
       rename (one-shot), simulating a torn write that the per-entry
@@ -20,20 +16,8 @@
       [Sat.Solver] (the sat layer cannot depend on this module), listed
       here because [PDAT_CHAOS] is the single chaos surface.
 
-    The legacy test hooks keep working and live here too:
-    [PDAT_KILL_WORKER=<i>] makes worker [i] [_exit 3] before proving
-    (first attempt only), [PDAT_SLOW_WORKER=<i>:<sec>] delays worker
-    [i].  All hooks are inert when their variables are unset — the
-    production path pays one [getenv] per injection point. *)
-
-val worker_kill_requested : idx:int -> attempt:int -> [ `No | `Exit3 | `Sigkill ]
-(** What, if anything, the worker [idx] on [attempt] should do to
-    itself before proving.  [`Exit3] comes from [PDAT_KILL_WORKER],
-    [`Sigkill] from the ["worker-kill"] chaos spec; both fire only on
-    [attempt = 0]. *)
-
-val worker_delay : idx:int -> unit
-(** Sleep if [PDAT_SLOW_WORKER] targets this worker. *)
+    All hooks are inert when [PDAT_CHAOS] is unset — the production
+    path pays one [getenv] per injection point. *)
 
 val cache_truncate : path:string -> bool
 (** If ["cache-trunc"] is armed and unspent, truncate the file at

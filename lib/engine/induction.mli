@@ -37,40 +37,23 @@ type stats = {
   rounds : int;
   budget_exhausted : bool;
   deadline_exceeded : bool;  (** the wall-clock budget cut the proof short *)
-  workers : int;          (** shards of the parallel run (0 = ran serially) *)
-  workers_failed : int;   (** failed worker attempts (each was retried
-                              or fell back; no shard is ever dropped) *)
-  worker_failures : (int * string) list;
-      (** (shard index, reason) per failed attempt — a non-zero exit
-          status, a fatal signal, a garbled result pipe and a watchdog
-          kill are distinguished so the failure is diagnosable from
-          stats alone *)
-  worker_retries : int;   (** attempts relaunched after a failure *)
-  worker_fallbacks : int; (** shards proved serially in-process after
-                              exhausting their retries *)
-  resumed_shards : int;   (** shards settled from a journal checkpoint
-                              instead of being re-proved *)
-  worker_times : (int * float * float) list;
-      (** (worker index, wall seconds, CPU seconds) per surviving
-          worker, measured inside the worker on the monotonic clock *)
-  shard_sizes : int list; (** candidates per shard, parallel runs only *)
+  workers : int;
+      (** always 0, like [workers_failed], [worker_wall_max_s] and
+          [worker_idle_frac]: the prover forks nothing.  The four are
+          kept only so that callers written for the (since removed)
+          fork pool still compile *)
+  workers_failed : int;
   cache_hits : int;       (** candidates resolved from the proof cache *)
   cache_misses : int;     (** candidates the cache had no verdict for *)
-  worker_seconds : float; (** wall-clock of the fork/collect span *)
   top_costs : Obs.Attr.row list;
       (** deterministic top-K most expensive candidates of this run
           ({!Obs.Attr.top} over the run's attribution delta): ranked by
           conflicts, then SAT calls, then key — never by wall time, so
-          for a fixed configuration (same jobs) the table is
-          byte-reproducible run to run.  Aggregate-round costs are
-          shared equally among the candidates the round refuted; rows
-          carry the shard that settled them *)
+          for a fixed configuration the table is byte-reproducible run
+          to run.  Aggregate-round costs are shared equally among the
+          candidates the round refuted *)
   worker_wall_max_s : float;
-      (** slowest surviving worker's own wall clock (0 when serial) *)
-  worker_wall_mean_s : float;  (** mean worker wall clock *)
   worker_idle_frac : float;
-      (** 1 - mean/max: the fraction of the slowest worker's window the
-          average worker spent idle — the shard load-balance gauge *)
 }
 
 val blank_stats : stats
@@ -99,8 +82,8 @@ type verdict =
   | V_not_inductive  (** killed on the induction step side *)
   | V_dropped of string
       (** conservatively dropped without a refutation: an inconclusive
-          SAT call, an exhausted budget, a lost worker — the reason
-          string says which *)
+          SAT call or an exhausted budget — the reason string says
+          which *)
   | V_cached of Proof_cache.verdict  (** settled by the proof cache *)
 
 val verdict_label : verdict -> string
@@ -110,19 +93,12 @@ val verdict_proves : verdict -> bool
 (** Whether the verdict counts as a proof the rewiring stage may cite:
     [V_proved] and [V_cached Proved]. *)
 
-type attribution = {
-  verdict : verdict;
-  shard : int option;
-      (** worker index that decided it; [None] for cache hits, serial
-          runs and join-round-only candidates *)
-  cache_hit : bool;
-}
+type attribution = { verdict : verdict; cache_hit : bool }
 
 val prove :
   ?options:options ->
   ?cex:Stimulus.t * int ->
   ?known:Candidate.t list ->
-  ?hypotheses:Candidate.t list ->
   ?fates:(Candidate.t, verdict) Hashtbl.t ->
   assume:Netlist.Design.net ->
   Netlist.Design.t ->
@@ -133,9 +109,12 @@ val prove :
     {!Netlist.Design.net_true} for an unconstrained environment).
 
     Each side encodes only the cone of influence of [assume] and the
-    nets of the candidates, [known] and [hypotheses] ({!Unroll}),
-    computed once: candidates only die, so the cone keeps covering
-    every later check.
+    nets of the candidates and [known] ({!Unroll}), computed once from
+    the initial candidates: they only die, so the cone keeps covering
+    every later check.  The step side is encoded after the base pass,
+    and each side's solver is dropped once its counters are read, so
+    the base solver can be reclaimed before the step solver is
+    built.
 
     [cex] = [(stimulus, cycles)] enables counterexample propagation:
     after each SAT kill, the simulator loads the model's frame-0 state,
@@ -149,13 +128,6 @@ val prove :
     the base and the step side, strengthening the induction for free.
     Soundness requires that they really are invariants.
 
-    [hypotheses] are *unverified* co-candidates being proved elsewhere
-    (other shards of a parallel run).  They are assumed only where the
-    candidate set assumes its own members: frames [0..k-1] of the step
-    side, never the base side.  Survivors of a run with hypotheses are
-    only proved relative to them — {!prove_parallel}'s join round
-    discharges that relativity.
-
     [fates], when given, is filled with one {!verdict} per candidate.
     Fate tracking costs nothing on the proof path except counterexample
     extraction at each base-side kill (one literal read per input per
@@ -164,7 +136,6 @@ val prove :
 val prove_snapshot :
   ?options:options ->
   ?known:Candidate.t list ->
-  ?hypotheses:Candidate.t list ->
   assume:Netlist.Design.net ->
   Netlist.Design.t ->
   Candidate.t list ->
@@ -180,81 +151,30 @@ val prove_snapshot :
     {!prove}'s.  No counterexample propagation and no fates: this is a
     measurement and verification artifact, not a production path. *)
 
-val shard_fingerprint : Candidate.t list -> string
-(** Content digest of a shard's candidate set (order-independent, over
-    {!Candidate.key}s).  This is the name under which the run journal
-    checkpoints a shard's proved set, and the name a resumed run uses
-    to recognize it. *)
-
 val prove_parallel :
   ?options:options ->
   ?cex:Stimulus.t * int ->
   ?jobs:int ->
   ?cache:Proof_cache.t ->
   ?attributions:(Candidate.t, attribution) Hashtbl.t ->
-  ?retries:int ->
-  ?checkpoint:(string -> Candidate.t list -> unit) ->
-  ?recovered:(string * Candidate.t list) list ->
   ?sieve:bool ->
   assume:Netlist.Design.net ->
   Netlist.Design.t ->
   Candidate.t list ->
   Candidate.t list * stats
-(** Sharded fork-based prover with worker supervision.  Returns exactly
-    the proved set of the serial {!prove} (when neither is cut short by
-    budgets):
-
-    - candidates with a cached verdict are settled up front; cached
-      proofs join the run as [known] invariants,
-    - the rest are partitioned by {!Shard.partition} and proved in
-      [jobs] forked workers, each assuming the other shards' candidates
-      as step-side [hypotheses] (workers run without [cex] so their
-      kills are deterministic and exact),
-    - worker result pipes are drained with [Unix.select] as data
-      arrives, so a slow worker never blocks collection of the others,
-    - every worker heartbeats once a second on a dedicated pipe; the
-      coordinator SIGKILLs a worker that goes silent
-      ([PDAT_STALL_TIMEOUT_S], default 30) or outlives a finite time
-      budget past a grace period, and a worker past its own hard
-      deadline exits 124 on its next alarm tick,
-    - a worker that crashes, stalls, or writes a garbled result is
-      retried up to [retries] times (default [PDAT_RETRIES] or 2) with
-      exponential backoff (base [PDAT_RETRY_BACKOFF_S], default 0.1s);
-      a shard that exhausts its retries is proved serially in-process —
-      {e no shard is ever silently dropped},
-    - one serial mutual-induction join round over the union of shard
-      survivors restores the greatest fixpoint of the whole set.
-
-    Workers over-assume, so the survivor union is a superset of the
-    serial fixpoint; the greatest fixpoint of any superset of the
-    fixpoint (within the original set) is that fixpoint, hence the join
-    round's result equals the serial one.
-
-    [sieve] is ignored: nothing reads it.  It is kept only so that
-    callers written when it switched on the (since removed)
-    simulation-signature sieve still compile.
-
-    [checkpoint], when given, is called with
-    ([{!shard_fingerprint} shard], proved set) each time a shard is
-    settled by a worker or a fallback — the hook the run journal uses.
-    [recovered] maps shard fingerprints to proved sets persisted by a
-    prior run; a shard whose fingerprint matches skips its worker
-    entirely (counted in [resumed_shards]) and feeds its recovered
-    survivors straight to the join round, which is sound because the
-    prior worker over-assumed exactly like a live one.
+(** The proof stage: settles candidates with a cached verdict up front,
+    then runs {!prove} on the rest with the cached proofs as [known]
+    invariants.  Returns the proved candidates in input order, and
+    exactly {!prove}'s proved set when the cache is empty.
 
     Fresh verdicts are recorded in [cache] only when the run completed
-    cleanly (no budget/deadline exhaustion — worker failures are fine,
-    since supervision guarantees coverage); the caller is responsible
-    for {!Proof_cache.flush}.  [jobs <= 1] (the default), a single
-    shard, or a fully cache-resolved candidate list short-circuit to
-    the serial path with no forking.
+    cleanly (no budget/deadline exhaustion); the caller is responsible
+    for {!Proof_cache.flush}.
 
     [attributions], when given, receives one {!attribution} per input
-    candidate: cache hits as [V_cached], fresh candidates with the
-    verdict from the worker (or join round) that decided them tagged
-    with the shard index, and a recovered shard's non-survivors as
-    [V_dropped "resumed"].  Workers marshal their fates — including
-    counterexamples — back through the result pipe, and their
-    histogram samples (e.g. per-SAT-call latency) are merged into the
-    coordinator's {!Obs} distributions either way. *)
+    candidate: cache hits as [V_cached], fresh candidates with their
+    {!prove} fate.
+
+    [jobs] and [sieve] are ignored: nothing reads them.  They are kept
+    only so that callers written for the (since removed) fork pool and
+    simulation-signature sieve still compile. *)

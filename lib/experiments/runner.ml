@@ -100,7 +100,7 @@ let finish_env (v : Variants.t) design env =
       ~bits:2
   else env
 
-let run_full ?(fast = false) ?jobs ?cache (v : Variants.t) =
+let run_full ?(fast = false) ?cache (v : Variants.t) =
   let cache =
     match cache with Some c -> Some c | None -> Some (Lazy.force shared_cache)
   in
@@ -123,7 +123,7 @@ let run_full ?(fast = false) ?jobs ?cache (v : Variants.t) =
       let env = finish_env v design env in
       let result =
         Pdat.Pipeline.run ~rsim:(rsim_config ~fast v)
-          ~induction:(induction_options ~fast v) ?jobs ?cache ~design ~env ()
+          ~induction:(induction_options ~fast v) ?cache ~design ~env ()
       in
       let r = result.Pdat.Pipeline.report in
       ( {
@@ -137,15 +137,15 @@ let run_full ?(fast = false) ?jobs ?cache (v : Variants.t) =
         },
         Some result )
 
-let run ?fast ?jobs ?cache v = fst (run_full ?fast ?jobs ?cache v)
+let run ?fast ?cache v = fst (run_full ?fast ?cache v)
 
 let reduced_design ?fast v =
   match run_full ?fast v with
   | _, Some result -> result.Pdat.Pipeline.reduced
   | _, None -> fst (Pdat.Pipeline.baseline (design_of ?fast v))
 
-let run_figure ?fast ?jobs ?cache figure =
-  List.map (run ?fast ?jobs ?cache) (Variants.by_figure figure)
+let run_figure ?fast ?cache figure =
+  List.map (run ?fast ?cache) (Variants.by_figure figure)
 
 let pp_row fmt r =
   Format.fprintf fmt "%-22s %9.1f um^2 (%+6.1f%%)  %6d gates (%+6.1f%%)  [proved %5d, %5.1fs]"

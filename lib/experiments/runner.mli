@@ -22,11 +22,10 @@ val area_delta : row -> float
 
 val gate_delta : row -> float
 
-val run : ?fast:bool -> ?jobs:int -> ?cache:Engine.Proof_cache.t -> Variants.t -> row
+val run : ?fast:bool -> ?cache:Engine.Proof_cache.t -> Variants.t -> row
 
 val run_full :
   ?fast:bool ->
-  ?jobs:int ->
   ?cache:Engine.Proof_cache.t ->
   Variants.t ->
   row * Pdat.Pipeline.result option
@@ -35,12 +34,10 @@ val run_full :
     actually ran the pipeline ([None] for baseline-only variants).
     Unless [cache] is given, all variants share one session-wide proof
     cache; set the [PDAT_CACHE_DIR] environment variable to make it
-    disk-backed so verdicts persist across processes.  [jobs] is the
-    proof-stage worker count (default: [PDAT_JOBS] or 1, see
-    {!Pdat.Pipeline.run}). *)
+    disk-backed so verdicts persist across processes. *)
 
 val run_figure :
-  ?fast:bool -> ?jobs:int -> ?cache:Engine.Proof_cache.t -> string -> row list
+  ?fast:bool -> ?cache:Engine.Proof_cache.t -> string -> row list
 
 val pp_row : Format.formatter -> row -> unit
 

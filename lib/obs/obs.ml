@@ -1,8 +1,6 @@
 (* Tracing + metrics.  Counters are always on (one Hashtbl update per
    batched instrumentation point); spans are recorded only while
-   enabled.  Everything here is single-threaded and fork-aware: a
-   worker calls [reset] right after the fork and ships its events and
-   counter deltas back through its result pipe. *)
+   enabled.  Everything here is single-threaded. *)
 
 module Clock = struct
   (* Monotonic fallback on gettimeofday: accumulate only plausible
@@ -127,8 +125,6 @@ let counters_delta ~since =
          in
          if d <> 0. then Some (k, d) else None)
 
-let merge_counters l = List.iter (fun (k, v) -> add k v) l
-
 (* ---------------- histograms ---------------------------------------- *)
 
 (* Named sample distributions (per-SAT-call latency, per-run simulation
@@ -219,24 +215,17 @@ let histogram_samples () =
     hists []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let merge_histogram_samples l =
-  List.iter (fun (name, s) -> Array.iter (observe name) s) l
-
 let () = reset_hists := fun () -> Hashtbl.reset hists
 
 (* ---------------- cost attribution ---------------------------------- *)
 
 (* Per-candidate cost rows.  The SAT layer bills every solve to the key
    currently in dynamic scope ([with_key]); untagged calls are simply
-   not billed.  Like counters, the table is fork-aware: a worker resets,
-   tags its shard, and ships [export ()] home through its result pipe
-   where the coordinator [merge]s it — a killed worker's rows die with
-   it, so nothing is double-billed. *)
+   not billed. *)
 
 module Attr = struct
   type row = {
     a_key : string;          (* Candidate.key, or "(...)"-bracketed bucket *)
-    a_shard : int option;
     a_wall_s : float;
     a_sat_calls : int;
     a_conflicts : int;
@@ -244,18 +233,8 @@ module Attr = struct
 
   let atbl : (string, row) Hashtbl.t = Hashtbl.create 64
   let cur_key : string option ref = ref None
-  let cur_shard : int option ref = ref None
 
-  let set_shard s = cur_shard := s
-
-  let blank key =
-    {
-      a_key = key;
-      a_shard = !cur_shard;
-      a_wall_s = 0.;
-      a_sat_calls = 0;
-      a_conflicts = 0;
-    }
+  let blank key = { a_key = key; a_wall_s = 0.; a_sat_calls = 0; a_conflicts = 0 }
 
   let find key =
     match Hashtbl.find_opt atbl key with
@@ -275,7 +254,6 @@ module Attr = struct
         Hashtbl.replace atbl key
           {
             r with
-            a_shard = (match r.a_shard with Some _ as s -> s | None -> !cur_shard);
             a_wall_s = r.a_wall_s +. wall_s;
             a_sat_calls = r.a_sat_calls + 1;
             a_conflicts = r.a_conflicts + conflicts;
@@ -284,22 +262,6 @@ module Attr = struct
   let export () =
     Hashtbl.fold (fun _ r acc -> r :: acc) atbl []
     |> List.sort (fun a b -> compare a.a_key b.a_key)
-
-  let merge rows =
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt atbl r.a_key with
-        | None -> Hashtbl.replace atbl r.a_key r
-        | Some o ->
-            Hashtbl.replace atbl r.a_key
-              {
-                a_key = o.a_key;
-                a_shard = (match o.a_shard with Some _ as s -> s | None -> r.a_shard);
-                a_wall_s = o.a_wall_s +. r.a_wall_s;
-                a_sat_calls = o.a_sat_calls + r.a_sat_calls;
-                a_conflicts = o.a_conflicts + r.a_conflicts;
-              })
-      rows
 
   let delta ~since rows =
     let base = Hashtbl.create (List.length since) in
@@ -337,8 +299,7 @@ module Attr = struct
 
   let () = reset_attr := fun () ->
       Hashtbl.reset atbl;
-      cur_key := None;
-      cur_shard := None
+      cur_key := None
 end
 
 (* ---------------- spans --------------------------------------------- *)
@@ -408,9 +369,6 @@ let drain () =
   in
   events := [];
   l
-
-let inject evs =
-  if !enabled then List.iter record evs
 
 let counter_events () =
   let ts = Clock.now_s () *. 1e6 in
@@ -525,9 +483,9 @@ let write_sink sink evs =
 (* ---------------- structured run log -------------------------------- *)
 
 (* Leveled JSONL event log.  One [Unix.write] per line on an O_APPEND
-   descriptor: atomic on POSIX for these sizes, so a forked worker that
-   inherited the fd interleaves whole lines with the coordinator rather
-   than tearing them. *)
+   descriptor: atomic on POSIX for these sizes, so two processes
+   appending to the same file interleave whole lines rather than
+   tearing them. *)
 
 module Log = struct
   type level = Debug | Info | Warn | Error
@@ -571,7 +529,7 @@ module Log = struct
         (try ignore (Unix.write f b 0 (Bytes.length b))
          with Unix.Unix_error _ -> ())
 
-  let event ?(level = Info) ?stage ?shard ?(kv = []) name =
+  let event ?(level = Info) ?stage ?(kv = []) name =
     match !fd with
     | None -> ()
     | Some _ when level_rank level < level_rank !threshold -> ()
@@ -582,9 +540,6 @@ module Log = struct
              (Clock.wall_s ()) (level_label level) (escape name));
         (match stage with
         | Some s -> Buffer.add_string b (Printf.sprintf ",\"stage\":\"%s\"" (escape s))
-        | None -> ());
-        (match shard with
-        | Some i -> Buffer.add_string b (Printf.sprintf ",\"shard\":%d" i)
         | None -> ());
         List.iter
           (fun (k, v) ->

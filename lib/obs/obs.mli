@@ -14,16 +14,11 @@
       conflicts/decisions/propagations and cache hits it caused.
 
     Recorded events serialize as Chrome trace-event JSON (load the file
-    in [chrome://tracing] / Perfetto) or as JSONL.  Events are plain
-    marshalable values: a forked worker records its own events and
-    ships them back through its result pipe, and the parent {!inject}s
-    them into the session, so workers appear as spans under their own
-    pid next to the coordinator's stages. *)
+    in [chrome://tracing] / Perfetto) or as JSONL. *)
 
 module Clock : sig
   val now_s : unit -> float
-  (** Monotonic seconds since process start (shared with forked
-      children, so parent and child timestamps are comparable).  Built
+  (** Monotonic seconds since process start.  Built
       on [Unix.gettimeofday] guarded against clock steps: a backwards
       step contributes zero elapsed time instead of a negative one, and
       an implausibly large forward step (> 1 h between two observations
@@ -44,7 +39,7 @@ module Hw : sig
       back to counting [processor] lines in [/proc/cpuinfo], falling
       back to 1.  Cached after the first call.  The [PDAT_FORCE_CORES]
       environment variable overrides the detection (checked on every
-      call; intended for tests that need a deterministic clamp). *)
+      call; intended for tests that need a deterministic count). *)
 end
 
 (** {1 Counters} *)
@@ -60,10 +55,6 @@ val counters : unit -> (string * float) list
 val counters_delta : since:(string * float) list -> (string * float) list
 (** Counters that moved since a previous {!counters} snapshot, with
     their deltas. *)
-
-val merge_counters : (string * float) list -> unit
-(** Accumulate another process' counter deltas (e.g. a worker's) into
-    this process' counters. *)
 
 (** {1 Histograms}
 
@@ -94,36 +85,22 @@ val histogram : string -> histogram option
 val histograms : unit -> (string * histogram) list
 (** All non-empty distributions, sorted by name. *)
 
-val histogram_samples : unit -> (string * float array) list
-(** Raw retained samples, sorted by name — how a forked worker ships
-    its distributions back to the coordinator. *)
-
-val merge_histogram_samples : (string * float array) list -> unit
-(** Re-observe another process' samples into this process. *)
-
 (** {1 Cost attribution}
 
     Per-candidate cost rows: wall time, SAT calls and conflicts, billed
     to whatever key is in dynamic scope when the SAT layer reports a
     solve.  Keys are {!Engine.Candidate} keys; aggregate
     (multi-candidate) solver calls are billed to ["(...)"]-bracketed
-    bucket keys, which {!Attr.top} excludes.  Like counters, the table
-    is fork-aware: a worker {!reset}s, tags its shard with
-    {!Attr.set_shard}, and ships {!Attr.export} home through its result
-    pipe, where the coordinator {!Attr.merge}s it exactly once — a
-    killed worker's rows die with the worker. *)
+    bucket keys, which {!Attr.top} excludes.  {!reset} clears the
+    table. *)
 
 module Attr : sig
   type row = {
     a_key : string;       (** candidate key, or a ["(...)"] bucket *)
-    a_shard : int option; (** worker index that paid the cost, if any *)
     a_wall_s : float;     (** solver wall time billed to this key *)
     a_sat_calls : int;
     a_conflicts : int;
   }
-
-  val set_shard : int option -> unit
-  (** Tag subsequently created rows with this worker index. *)
 
   val with_key : string -> (unit -> 'a) -> 'a
   (** [with_key k f] bills every {!charge_call} during [f] to [k].
@@ -134,11 +111,7 @@ module Attr : sig
       call site is the solver's solve wrapper. *)
 
   val export : unit -> row list
-  (** All rows, sorted by key — the marshalable worker payload. *)
-
-  val merge : row list -> unit
-  (** Accumulate another process' rows: numeric fields sum, an existing
-      shard tag wins over an incoming one. *)
+  (** All rows, sorted by key. *)
 
   val delta : since:row list -> row list -> row list
   (** Rows of the second argument minus a prior {!export} snapshot;
@@ -172,9 +145,8 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Clear recorded events and all counters, and re-read the pid.  A
-    forked child must call this first so it records only its own work
-    under its own pid. *)
+(** Clear recorded events, counters, histograms and attribution rows,
+    and re-read the pid. *)
 
 val with_span :
   ?cat:string -> ?args:(unit -> (string * arg) list) -> string ->
@@ -196,10 +168,6 @@ val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 
 val drain : unit -> event list
 (** All recorded events in chronological order; clears the buffer. *)
-
-val inject : event list -> unit
-(** Append events recorded elsewhere (a worker's {!drain} shipped back
-    over a pipe).  Dropped when tracing is disabled. *)
 
 val counter_events : unit -> event list
 (** One [Counter] event per current counter, timestamped now — append
@@ -231,8 +199,8 @@ val write_sink : sink -> event list -> unit
 (** {1 Structured run log}
 
     Leveled JSONL events ([{"ts":..,"level":..,"event":..,...}]) on an
-    [O_APPEND] descriptor, one [Unix.write] per line — whole lines
-    interleave rather than tear, so forked workers may share the fd.
+    [O_APPEND] descriptor, one [Unix.write] per line, so concurrent
+    writers interleave whole lines rather than tearing them.
     Inactive (every call a no-op) until {!Log.set} opens a file. *)
 
 module Log : sig
@@ -249,10 +217,10 @@ module Log : sig
   val active : unit -> bool
 
   val event :
-    ?level:level -> ?stage:string -> ?shard:int ->
-    ?kv:(string * arg) list -> string -> unit
+    ?level:level -> ?stage:string -> ?kv:(string * arg) list -> string ->
+    unit
   (** Emit one event line: [ts] (wall clock), [level], [event] name,
-      optional [stage]/[shard], then the [kv] pairs.  Dropped when no
+      optional [stage], then the [kv] pairs.  Dropped when no
       log is open or the level is below the threshold. *)
 end
 

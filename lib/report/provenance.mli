@@ -5,8 +5,8 @@
     accumulates its history as the pipeline advances: the rsim round
     that mined it, the refinement kill that discarded it (with the
     refuting input trace), the prover's verdict (proved at depth k /
-    refuted with a counterexample / dropped, with shard id and
-    cache-hit flag), and the waveform file its counterexample was
+    refuted with a counterexample / dropped, with its cache-hit
+    flag), and the waveform file its counterexample was
     dumped to.  Certificate edits link back to the proved invariants
     that justify them, and every original cell made dead by rewiring
     is attributed to the edit whose cone it sits in.

@@ -39,7 +39,6 @@ type resume_summary = {
   rs_journal : string;
   rs_resumed : bool;
   rs_stages : string list;
-  rs_shards : int;
   rs_dropped_lines : int;
 }
 
@@ -211,8 +210,7 @@ let cand_json prov (r : P.cand_record) =
             ("lane", string_of_int k.Engine.Rsim.k_lane);
           ]
       | Prover a -> (
-          [ ("shard", jopt_int a.I.shard);
-            ("cache_hit", string_of_bool a.I.cache_hit) ]
+          [ ("cache_hit", string_of_bool a.I.cache_hit) ]
           @
           match a.I.verdict with
           | I.V_proved { k } -> [ ("k", string_of_int k) ]
@@ -259,7 +257,6 @@ let attr_row_json (r : Obs.Attr.row) =
   jobj
     [
       ("key", jstr r.Obs.Attr.a_key);
-      ("shard", jopt_int r.Obs.Attr.a_shard);
       ("sat_calls", string_of_int r.Obs.Attr.a_sat_calls);
       ("conflicts", string_of_int r.Obs.Attr.a_conflicts);
     ]
@@ -334,13 +331,6 @@ let json ?(target = "design") ?induction ?resume prov =
               [
                 ( "top_candidates",
                   jlist (List.map attr_row_json st.I.top_costs) );
-                ( "load_balance",
-                  jobj
-                    [
-                      ("workers", string_of_int st.I.workers);
-                      ( "shard_sizes",
-                        jlist (List.map string_of_int st.I.shard_sizes) );
-                    ] );
               ] );
         ]
   in
@@ -357,7 +347,6 @@ let json ?(target = "design") ?induction ?resume prov =
                 ("journal", jstr (Filename.basename r.rs_journal));
                 ("resumed", if r.rs_resumed then "true" else "false");
                 ("replayed_stages", jlist (List.map jstr r.rs_stages));
-                ("resumed_shards", string_of_int r.rs_shards);
                 ("dropped_lines", string_of_int r.rs_dropped_lines);
               ] );
         ]
@@ -537,11 +526,10 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
       pr "Run journaled to `%s`.\n" r.rs_journal;
       if r.rs_resumed then begin
         pr "\nThis run **resumed** from a prior journal: %d stage(s) \
-            replayed%s, %d proof shard(s) settled from checkpoints"
+            replayed%s"
           (List.length r.rs_stages)
           (if r.rs_stages = [] then ""
-           else " (" ^ String.concat ", " r.rs_stages ^ ")")
-          r.rs_shards;
+           else " (" ^ String.concat ", " r.rs_stages ^ ")");
         if r.rs_dropped_lines > 0 then
           pr "; %d torn journal line(s) truncated" r.rs_dropped_lines;
         pr ".\n"
@@ -552,25 +540,13 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
   | Some (st : I.stats) ->
       if st.I.top_costs <> [] then begin
         pr "\n## Most expensive candidates\n\n";
-        pr "| candidate | shard | SAT calls | conflicts | wall (s) |\n";
-        pr "|---|---|---|---|---|\n";
+        pr "| candidate | SAT calls | conflicts | wall (s) |\n";
+        pr "|---|---|---|---|\n";
         List.iter
           (fun (r : Obs.Attr.row) ->
-            pr "| `%s` | %s | %d | %d | %.4f |\n" r.Obs.Attr.a_key
-              (match r.Obs.Attr.a_shard with
-              | Some i -> string_of_int i
-              | None -> "—")
+            pr "| `%s` | %d | %d | %.4f |\n" r.Obs.Attr.a_key
               r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
           st.I.top_costs
-      end;
-      if st.I.workers > 0 then begin
-        pr "\n## Shard load balance\n\n";
-        pr "| workers | shard sizes | max wall (s) | mean wall (s) | \
-            idle |\n|---|---|---|---|---|\n";
-        pr "| %d | %s | %.2f | %.2f | %.0f%% |\n" st.I.workers
-          (String.concat ";" (List.map string_of_int st.I.shard_sizes))
-          st.I.worker_wall_max_s st.I.worker_wall_mean_s
-          (100. *. st.I.worker_idle_frac)
       end);
   (* --- optional non-deterministic sections ------------------------- *)
   if timings <> [] then begin

@@ -19,7 +19,6 @@ type resume_summary = {
   rs_journal : string;  (** path of the run's [journal.jsonl] *)
   rs_resumed : bool;    (** the run replayed a prior journal *)
   rs_stages : string list;  (** stages replayed instead of recomputed *)
-  rs_shards : int;          (** proof shards settled from checkpoints *)
   rs_dropped_lines : int;   (** torn journal tail lines truncated *)
 }
 (** Crash-safety provenance of a journaled run, mirroring
@@ -36,9 +35,9 @@ val json :
   Provenance.t ->
   string
 (** [induction], when given, adds a ["costs"] object: the run's
-    deterministic top-K candidate-cost table (key, shard, SAT calls,
-    conflicts — {e no wall time}, so the golden byte-determinism property is preserved) and the shard
-    load-balance shape (worker count, shard sizes). *)
+    deterministic top-K candidate-cost table (key, SAT calls,
+    conflicts — {e no wall time}, so the golden byte-determinism
+    property is preserved). *)
 
 val markdown :
   ?target:string ->
@@ -49,7 +48,6 @@ val markdown :
   ?resume:resume_summary ->
   Provenance.t ->
   string
-(** [induction] appends the cost-attribution table (here including
-    per-candidate wall seconds) and the shard load-balance gauges
-    (max/mean worker wall, idle fraction) — wall data lives in these
-    non-deterministic markdown sections, never in the JSON. *)
+(** [induction] appends the cost-attribution table, here including
+    per-candidate wall seconds — wall data lives in this
+    non-deterministic markdown section, never in the JSON. *)

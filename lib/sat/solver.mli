@@ -112,9 +112,8 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** A cheap copy of the cumulative search counters.  Used by the
-    parallel proof engine: each forked worker snapshots its solvers and
-    ships the counters back to the coordinator, which aggregates them
-    into the per-shard statistics. *)
+(** A cheap copy of the cumulative search counters.  The prover reads
+    one per solver when it is done with it and sums them into its
+    statistics, so the solver itself can be freed. *)
 
 val num_clauses : t -> int

@@ -1,8 +1,6 @@
-(* Tests for the observability layer (lib/obs) and the prover/pipeline
-   fixes it exists to catch: worker counts clamped to online cores,
-   out-of-order worker completion under the select-based pipe drain,
-   per-worker failure attribution, and a parseable --trace file whose
-   spans cover every pipeline stage. *)
+(* Tests for the observability layer (lib/obs): counters, spans,
+   histograms, cost attribution, the run log, OpenMetrics, and a
+   parseable --trace file whose spans cover every pipeline stage. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -200,8 +198,6 @@ let test_counters () =
     (List.assoc_opt "t.x" delta = None);
   check "moved counter delta" true (List.assoc "t.y" delta = 1.);
   check "new counter delta" true (List.assoc "t.z" delta = 4.);
-  Obs.merge_counters [ ("t.x", 10.) ];
-  check "merge accumulates" true (List.assoc "t.x" (Obs.counters ()) = 13.5);
   Obs.reset ();
   check "reset clears counters" true (Obs.counters () = [])
 
@@ -271,7 +267,7 @@ let test_chrome_writer () =
   check "span, instant and counter all present" true
     (List.mem "alpha" names && List.mem "beta" names && List.mem "w" names)
 
-(* --- core detection and jobs clamping ------------------------------------ *)
+(* --- core detection -------------------------------------------------------- *)
 
 let test_online_cores () =
   check "at least one core" true (Obs.Hw.online_cores () >= 1);
@@ -279,129 +275,10 @@ let test_online_cores () =
       check_int "PDAT_FORCE_CORES overrides detection" 3
         (Obs.Hw.online_cores ()))
 
-let test_default_jobs_clamped () =
-  with_env_var "PDAT_FORCE_CORES" "2" (fun () ->
-      with_env_var "PDAT_JOBS" "8" (fun () ->
-          check_int "PDAT_JOBS=8 clamped to 2 cores" 2
-            (Pdat.Pipeline.default_jobs ()));
-      with_env_var "PDAT_JOBS" "1" (fun () ->
-          check_int "PDAT_JOBS=1 stays 1" 1 (Pdat.Pipeline.default_jobs ())));
-  with_env_var "PDAT_FORCE_CORES" "16" (fun () ->
-      with_env_var "PDAT_JOBS" "4" (fun () ->
-          check_int "plenty of cores: request honored" 4
-            (Pdat.Pipeline.default_jobs ())))
-
-(* jobs > candidates: the sharder must still never emit empty shards *)
-let test_shard_never_empty () =
-  let d = D.create "tiny" in
-  let a = D.add_input d "a" in
-  let na = D.add_cell d C.Inv [| a |] in
-  let zero = D.add_cell d C.And2 [| a; na |] in
-  D.add_output d "y" zero;
-  let cands = [ Engine.Candidate.Const (zero, false) ] in
-  let shards = Engine.Shard.partition d ~jobs:8 cands in
-  check "at most one shard per candidate" true
-    (List.length shards <= List.length cands);
-  check "no empty shards" true (List.for_all (fun s -> s <> []) shards)
-
-(* --- the twin design (two disjoint provable blocks) ---------------------- *)
-
-let twin_design () =
-  let d = D.create "twin" in
-  let block name =
-    let a = D.add_input d name in
-    let na = D.add_cell d C.Inv [| a |] in
-    let zero = D.add_cell d C.And2 [| a; na |] in
-    let r = D.add_dff d ~d:zero () in
-    D.add_output d ("y_" ^ name) r;
-    [ Engine.Candidate.Const (zero, false); Engine.Candidate.Const (r, false) ]
-  in
-  let cands = block "a" @ block "b" in
-  (d, cands)
-
-(* a worker delayed well past the others must not stall the drain, and
-   the result must still match the serial prover exactly *)
-let test_out_of_order_completion () =
-  let d, cands = twin_design () in
-  let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
-  check_int "all four constants provable" 4 (List.length serial);
-  let par, st =
-    with_env_var "PDAT_SLOW_WORKER" "0:0.4" (fun () ->
-        Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
-  in
-  check "same set as serial despite the slow worker" true
-    (List.sort Engine.Candidate.compare par
-    = List.sort Engine.Candidate.compare serial);
-  check_int "two workers ran" 2 st.Engine.Induction.workers;
-  check_int "no workers lost" 0 st.Engine.Induction.workers_failed;
-  check_int "wall/cpu time reported for both workers" 2
-    (List.length st.Engine.Induction.worker_times);
-  (match
-     List.find_opt (fun (i, _, _) -> i = 0) st.Engine.Induction.worker_times
-   with
-  | Some (_, wall, _) ->
-      check "delayed worker's wall time includes the delay" true (wall >= 0.4)
-  | None -> Alcotest.fail "worker 0 has no time entry")
-
-let test_worker_failure_reason () =
-  let d, cands = twin_design () in
-  let _, st =
-    with_env_var "PDAT_KILL_WORKER" "0" (fun () ->
-        Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
-  in
-  check_int "one worker lost" 1 st.Engine.Induction.workers_failed;
-  match st.Engine.Induction.worker_failures with
-  | [ (0, reason) ] ->
-      (* PDAT_KILL_WORKER makes the child _exit(3) before writing: the
-         failure must be attributed to the exit status, not the pipe *)
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
-      check "reason names the exit status" true (contains reason "exit status 3")
-  | other ->
-      Alcotest.failf "expected worker 0 to fail, got %d entries"
-        (List.length other)
-
-(* workers appear as injected spans under their own pid when tracing *)
-let test_worker_spans_injected () =
-  let d, cands = twin_design () in
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect ~finally:Obs.disable @@ fun () ->
-  let _, st =
-    Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands
-  in
-  check_int "two workers ran" 2 st.Engine.Induction.workers;
-  let events = Obs.drain () in
-  let worker_spans =
-    List.filter (fun (e : Obs.event) -> e.Obs.cat = "worker") events
-  in
-  check_int "one span per worker" 2 (List.length worker_spans);
-  let self = Unix.getpid () in
-  List.iter
-    (fun (e : Obs.event) ->
-      check "worker span under its own pid" true (e.Obs.pid <> self);
-      check "worker span carries SAT counters" true
-        (List.mem_assoc "sat.calls" e.Obs.args))
-    worker_spans
-
-(* --- pipeline: clamp + trace golden file --------------------------------- *)
+(* --- pipeline: trace golden file ------------------------------------------ *)
 
 let gen_config =
   { Netlist.Generate.n_inputs = 6; n_gates = 42; n_flops = 8; n_outputs = 6 }
-
-let test_pipeline_jobs_clamped () =
-  let d = Netlist.Generate.random ~seed:11 ~config:gen_config () in
-  let env = Pdat.Environment.unconstrained d in
-  let r =
-    with_env_var "PDAT_FORCE_CORES" "1" (fun () ->
-        Pdat.Pipeline.run ~jobs:8 ~design:d ~env ())
-  in
-  check_int "jobs=8 on 1 core clamps to 1" 1 r.Pdat.Pipeline.report.Pdat.Pipeline.jobs;
-  check_int "clamped run forks no workers" 0
-    r.Pdat.Pipeline.report.Pdat.Pipeline.induction.Engine.Induction.workers
 
 let test_pipeline_trace_golden () =
   let d = Netlist.Generate.random ~seed:11 ~config:gen_config () in
@@ -492,19 +369,18 @@ let test_histogram_empty () =
   Alcotest.(check (list string)) "no distributions" []
     (List.map fst (Obs.histograms ()))
 
-let test_histogram_merge () =
+let test_histogram_reset () =
   Obs.reset ();
   Obs.observe "m.x" 1.0;
   Obs.observe "m.x" 3.0;
-  let shipped = Obs.histogram_samples () in
   Obs.reset ();
+  (* samples recorded before a reset must not leak into the next window *)
   Obs.observe "m.x" 2.0;
-  Obs.merge_histogram_samples shipped;
   (match Obs.histogram "m.x" with
   | Some h ->
-      Alcotest.(check int) "merged count" 3 h.Obs.count;
-      Alcotest.(check (float 1e-9)) "merged p50" 2.0 h.Obs.p50
-  | None -> Alcotest.fail "merged histogram missing");
+      Alcotest.(check int) "count after reset" 1 h.Obs.count;
+      Alcotest.(check (float 1e-9)) "p50 after reset" 2.0 h.Obs.p50
+  | None -> Alcotest.fail "histogram missing after reset");
   Obs.reset ();
   Alcotest.(check bool) "reset clears distributions" true
     (Obs.histogram "m.x" = None)
@@ -569,32 +445,10 @@ let test_attr_delta_and_top () =
        (fun r -> r.Obs.Attr.a_key.[0] <> '(')
        (Obs.Attr.top (Obs.Attr.export ())))
 
-let test_attr_merge () =
-  let row key shard conflicts =
-    {
-      Obs.Attr.a_key = key;
-      a_shard = shard;
-      a_wall_s = 0.1;
-      a_sat_calls = 1;
-      a_conflicts = conflicts;
-    }
-  in
-  Obs.reset ();
-  Obs.Attr.merge [ row "C1:0" (Some 0) 2 ];
-  Obs.Attr.merge [ row "C1:0" (Some 1) 3; row "C2:0" None 1 ];
-  (match Obs.Attr.export () with
-  | [ r1; r2 ] ->
-      check_int "calls sum across merges" 2 r1.Obs.Attr.a_sat_calls;
-      check_int "conflicts sum across merges" 5 r1.Obs.Attr.a_conflicts;
-      check "existing shard tag wins" true (r1.Obs.Attr.a_shard = Some 0);
-      check "new key inserted" true (r2.Obs.Attr.a_key = "C2:0")
-  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
-  Obs.reset ()
-
-(* twin design plus one deliberately false claim per block: the false
-   claim is refuted by an aggregate round, whose cost the prover bills
-   to the candidates the round killed — so the cost table is non-empty
-   and its exactly-once merge under worker kills is observable *)
+(* two disjoint blocks, each with two true constants and one
+   deliberately false claim: the false claim is refuted by an aggregate
+   round, whose cost the prover bills to the candidates the round
+   killed — so the cost table is non-empty *)
 let twin_with_refuted () =
   let d = D.create "twin_r" in
   let block name =
@@ -620,52 +474,31 @@ let twin_with_refuted () =
 let attr_sig (st : Engine.Induction.stats) =
   List.map
     (fun (r : Obs.Attr.row) ->
-      ( r.Obs.Attr.a_key,
-        r.Obs.Attr.a_shard,
-        r.Obs.Attr.a_sat_calls,
-        r.Obs.Attr.a_conflicts ))
+      (r.Obs.Attr.a_key, r.Obs.Attr.a_sat_calls, r.Obs.Attr.a_conflicts))
     st.Engine.Induction.top_costs
 
-let test_attr_chaos_merge_once () =
+let test_attr_prover_billing () =
   let d, cands = twin_with_refuted () in
-  Engine.Chaos.reset ();
-  Obs.reset ();
-  let clean, clean_st =
-    Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands
+  let run () =
+    Obs.reset ();
+    let proved, st = Engine.Induction.prove_parallel ~assume:D.net_true d cands in
+    (proved, attr_sig st)
   in
-  let clean_sig = attr_sig clean_st in
-  let clean_hist =
-    match Obs.histogram "sat.call_s" with
-    | Some h -> h.Obs.count
-    | None -> 0
-  in
-  check "refuted candidates produced cost rows" true (clean_sig <> []);
-  check "parallel rows carry their shard tag" true
-    (List.exists (fun (_, s, _, _) -> s <> None) clean_sig);
-  (* same run with every worker's first attempt SIGKILLed: the killed
-     attempt's partial rows and samples die with the worker, the retry
-     ships them once, so the merged table and the histogram are
-     byte-identical to the clean run *)
-  Obs.reset ();
-  let chaos, chaos_st =
-    with_env_var "PDAT_CHAOS" "worker-kill" (fun () ->
-        Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
-  in
-  Engine.Chaos.reset ();
-  check "chaos run retried killed workers" true
-    (chaos_st.Engine.Induction.worker_retries >= 1);
-  check "proved set unchanged under kills" true
-    (List.sort Engine.Candidate.compare chaos
-    = List.sort Engine.Candidate.compare clean);
-  check "attribution merged exactly once under kills" true
-    (attr_sig chaos_st = clean_sig);
-  let chaos_hist =
-    match Obs.histogram "sat.call_s" with
-    | Some h -> h.Obs.count
-    | None -> 0
-  in
-  check_int "histogram samples merged exactly once under kills" clean_hist
-    chaos_hist
+  let proved, sig1 = run () in
+  check_int "the four true constants proved" 4 (List.length proved);
+  check "refuted candidates produced cost rows" true (sig1 <> []);
+  check "only refuted candidates are billed" true
+    (List.for_all
+       (fun (key, _, _) ->
+         not
+           (List.exists
+              (fun c -> Engine.Candidate.key c = key)
+              proved))
+       sig1);
+  (* same run again: the table is byte-reproducible, wall time aside *)
+  let _, sig2 = run () in
+  check "cost table identical across runs" true (sig1 = sig2);
+  Obs.reset ()
 
 (* --- structured run log -------------------------------------------------- *)
 
@@ -692,9 +525,9 @@ let test_log_jsonl () =
   Obs.Log.event "dropped-without-a-sink";
   Obs.Log.set path;
   check "active after set" true (Obs.Log.active ());
-  Obs.Log.event ~stage:"prove" ~shard:1
+  Obs.Log.event ~stage:"prove"
     ~kv:[ ("attempt", Obs.Int 0); ("wall_s", Obs.Float 0.25) ]
-    "worker-start";
+    "stage-start";
   Obs.Log.event ~level:Obs.Log.Debug "invisible";
   Obs.Log.event ~level:Obs.Log.Warn
     ~kv:[ ("reason", Obs.Str "say \"hi\"") ]
@@ -709,10 +542,9 @@ let test_log_jsonl () =
       check "level present" true (Json.member "level" o <> None))
     objs;
   let first = List.nth objs 0 in
-  check "event name" true (event_name first = "worker-start");
+  check "event name" true (event_name first = "stage-start");
   check "level label" true (Json.member "level" first = Some (Json.Str "info"));
   check "stage field" true (Json.member "stage" first = Some (Json.Str "prove"));
-  check "shard field" true (Json.member "shard" first = Some (Json.Num 1.));
   check "int kv" true (Json.member "attempt" first = Some (Json.Num 0.));
   check "float kv" true (Json.member "wall_s" first = Some (Json.Num 0.25));
   let second = List.nth objs 1 in
@@ -828,8 +660,7 @@ let () =
           Alcotest.test_case "percentiles over scrambled input" `Quick
             test_histogram_percentiles;
           Alcotest.test_case "empty distributions" `Quick test_histogram_empty;
-          Alcotest.test_case "worker sample merge + reset" `Quick
-            test_histogram_merge;
+          Alcotest.test_case "reset drops samples" `Quick test_histogram_reset;
         ] );
       ( "obs",
         [
@@ -839,24 +670,6 @@ let () =
           Alcotest.test_case "chrome writer emits valid JSON" `Quick
             test_chrome_writer;
           Alcotest.test_case "online core detection" `Quick test_online_cores;
-        ] );
-      ( "clamp",
-        [
-          Alcotest.test_case "default_jobs clamps to cores" `Quick
-            test_default_jobs_clamped;
-          Alcotest.test_case "more jobs than candidates" `Quick
-            test_shard_never_empty;
-          Alcotest.test_case "pipeline clamps explicit jobs" `Quick
-            test_pipeline_jobs_clamped;
-        ] );
-      ( "drain",
-        [
-          Alcotest.test_case "out-of-order worker completion" `Quick
-            test_out_of_order_completion;
-          Alcotest.test_case "failure reason per worker" `Quick
-            test_worker_failure_reason;
-          Alcotest.test_case "worker spans injected into the trace" `Quick
-            test_worker_spans_injected;
         ] );
       ( "trace",
         [
@@ -871,10 +684,8 @@ let () =
             test_attr_billing;
           Alcotest.test_case "delta window and deterministic top" `Quick
             test_attr_delta_and_top;
-          Alcotest.test_case "merge sums rows, keeps first shard" `Quick
-            test_attr_merge;
-          Alcotest.test_case "exactly-once merge under worker kills" `Quick
-            test_attr_chaos_merge_once;
+          Alcotest.test_case "prover billing is reproducible" `Quick
+            test_attr_prover_billing;
         ] );
       ( "log",
         [
