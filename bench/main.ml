@@ -29,16 +29,6 @@ let fast = not (Array.exists (( = ) "--full") Sys.argv)
 let json = Array.exists (( = ) "--json") Sys.argv
 let trace = Array.exists (( = ) "--trace") Sys.argv
 
-(* --metrics-out FILE: dump the process's Obs counters and histograms
-   as OpenMetrics text when all targets have finished *)
-let metrics_out =
-  let rec find = function
-    | "--metrics-out" :: path :: _ -> Some path
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find (Array.to_list Sys.argv)
-
 (* --- JSON emission ------------------------------------------------------ *)
 
 let json_escape s =
@@ -427,12 +417,12 @@ let run_sat () =
     write_bench_json "sat"
       (Printf.sprintf
          "  \"candidates\": %d,\n  \"proved\": %d,\n  \"identical\": %b,\n  \
-          \"cores\": %d,\n  \"jobs_effective\": %d,\n  \
-          \"t_snapshot_s\": %.3f,\n  \"t_incremental_s\": %.3f,\n  \
+          \"cores\": %d,\n  \"t_snapshot_s\": %.3f,\n  \
+          \"t_incremental_s\": %.3f,\n  \
           \"speedup_incremental\": %.3f,\n  \"snapshot_sat_calls\": %d,\n  \
           \"incremental_sat_calls\": %d,\n  \"top_costs\": [%s]\n"
          (List.length candidates) (List.length inc) identical
-         (Obs.Hw.online_cores ()) 1 t_snap t_inc speedup_incremental
+         (Obs.Hw.online_cores ()) t_snap t_inc speedup_incremental
          s_snap.Engine.Induction.sat_calls s_inc.Engine.Induction.sat_calls
          (top_costs_json s_inc))
 
@@ -456,7 +446,6 @@ let with_target_trace target f =
 
 let () =
   let rec strip = function
-    | "--metrics-out" :: _ :: rest -> strip rest
     | a :: rest
       when a = "--fast" || a = "--full" || a = "--json" || a = "--trace" ->
         strip rest
@@ -490,9 +479,4 @@ let () =
         exit 1
   in
   let dispatch target = with_target_trace target (fun () -> dispatch_target target) in
-  List.iter dispatch targets;
-  match metrics_out with
-  | Some path ->
-      Obs.write_file_atomic path (Obs.openmetrics ());
-      Format.printf "wrote %s@." path
-  | None -> ()
+  List.iter dispatch targets

@@ -218,38 +218,23 @@ let lint_gate_arg =
 
 let trace_arg =
   let doc =
-    "Write an execution trace to $(docv): one span per pipeline stage, \
-     each carrying its SAT/rsim/cache counters. A \
-     $(b,.jsonl) path selects JSON-lines; anything else is Chrome \
-     trace-event JSON (open in chrome://tracing or Perfetto). The \
-     $(b,PDAT_TRACE) environment variable is the flagless equivalent."
+    "Write an execution trace to $(docv) as Chrome trace-event JSON (open \
+     in chrome://tracing or Perfetto): one span per pipeline stage, each \
+     carrying its SAT/rsim/cache counters and, under $(b,--time-budget), \
+     its budget allocation; then the run's counter totals and latency \
+     histogram summaries. The $(b,PDAT_TRACE) environment variable is the \
+     flagless equivalent."
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
-
-let log_arg =
-  let doc =
-    "Write a structured run log to $(docv): leveled JSONL events \
-     (run/stage start and end with budget allocations). \
-     $(b,PDAT_LOG) is the flagless equivalent; $(b,PDAT_LOG_LEVEL) \
-     (debug/info/warn/error) sets the threshold."
-  in
-  Arg.(value & opt (some string) None & info [ "log" ] ~doc ~docv:"FILE")
-
-let metrics_out_arg =
-  let doc =
-    "Dump the run's counters and histograms to $(docv) in \
-     OpenMetrics/Prometheus text format when the pipeline finishes \
-     (written atomically; $(b,PDAT_METRICS_OUT) is the flagless \
-     equivalent)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
+  Term.(
+    const (Option.map (fun path -> Obs.Chrome path))
+    $ Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE"))
 
 let reduce_cmd =
   let port_flag =
     Arg.(value & flag & info [ "port" ] ~doc:"Force port-based constraints.")
   in
   let run fast cache_dir core subset_name port out validate time_budget
-      lint inject_kind trace log metrics_out run_dir resume =
+      lint inject_kind trace run_dir resume =
     if inject_kind <> None && not validate then begin
       Format.eprintf "--inject requires --validate to mean anything@.";
       exit 1
@@ -267,8 +252,7 @@ let reduce_cmd =
       match
         Pdat.Pipeline.run ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint ?inject
-          ?trace:(Option.map Obs.sink_of_path trace) ?log ?metrics_out
-          ?run_dir ~resume ~design ~env ()
+          ?trace ?run_dir ~resume ~design ~env ()
       with
       | r -> r
       | exception Pdat.Pipeline.Rejected diags ->
@@ -303,8 +287,8 @@ let reduce_cmd =
        ~doc:"Reduce a core for an ISA subset and optionally export Verilog")
     Term.(const run $ fast $ cache_dir_arg $ core_arg
           $ subset_arg $ port_flag $ out_arg $ validate_flag
-          $ time_budget_arg $ lint_gate_arg $ inject_arg $ trace_arg $ log_arg
-          $ metrics_out_arg $ run_dir_arg $ resume_flag)
+          $ time_budget_arg $ lint_gate_arg $ inject_arg $ trace_arg
+          $ run_dir_arg $ resume_flag)
 
 (* ---------------- lint ------------------------------------------------ *)
 
@@ -417,7 +401,7 @@ let report_cmd =
     Arg.(value & opt string "." & info [ "out-dir" ] ~doc ~docv:"DIR")
   in
   let run fast cache_dir core subset_name port validate time_budget
-      dump_cex out_dir log metrics_out run_dir resume =
+      dump_cex out_dir trace run_dir resume =
     if resume && run_dir = None then begin
       Format.eprintf "--resume needs --run-dir to locate the journal@.";
       exit 1
@@ -429,7 +413,7 @@ let report_cmd =
       match
         Pdat.Pipeline.run ?cache:(make_cache cache_dir) ~validate
           ?time_budget ~lint:Analysis.Lint.Warn ~provenance:prov ?dump_cex
-          ?log ?metrics_out ?run_dir ~resume ~design ~env ()
+          ?trace ?run_dir ~resume ~design ~env ()
       with
       | r -> r
       | exception Pdat.Pipeline.Rejected diags ->
@@ -482,8 +466,8 @@ let report_cmd =
           machine-readable and human run reports")
     Term.(const run $ fast $ cache_dir_arg $ core_arg
           $ subset_arg $ port_flag $ validate_flag
-          $ time_budget_arg $ dump_cex_arg $ out_dir_arg $ log_arg
-          $ metrics_out_arg $ run_dir_arg $ resume_flag)
+          $ time_budget_arg $ dump_cex_arg $ out_dir_arg $ trace_arg
+          $ run_dir_arg $ resume_flag)
 
 (* ---------------- chaos ------------------------------------------------ *)
 

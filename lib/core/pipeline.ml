@@ -56,9 +56,8 @@ let default_refine =
    participates when validation is on, so with it off the proof stage's
    share grows instead of being silently forfeited.  Each weight is the
    stage's mean share, in percent, of the stage times of [pdat reduce]
-   at CLI defaults (the stage-end [wall_s] events of [--log], which are
-   [stage_seconds]), averaged over three runs of each configuration on a
-   2-vCPU Xeon KVM guest:
+   at CLI defaults (the report's [stage_seconds]), averaged over three
+   runs of each configuration on a 2-vCPU Xeon KVM guest:
    - Ibex rv32i --validate, 1.7-2.1 s: mine 20.8, refine 44.9,
      prove 24.0, validate 0.7;
    - obfuscated CM0 mibench-all --validate, 9.2-11.2 s: mine 18.5,
@@ -130,54 +129,20 @@ let run_digest ~design ~env =
 let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
     ?absint:_ ?(validate = false) ?validate_config ?validate_stimulus
     ?time_budget ?(lint = Analysis.Lint.Off) ?inject ?provenance ?dump_cex
-    ?trace ?log ?metrics_out ?run_dir ?(resume = false) ~design ~env () =
-  let env_path var =
-    match Sys.getenv_opt var with
-    | Some p when String.trim p <> "" -> Some p
-    | Some _ | None -> None
-  in
+    ?trace ?run_dir ?(resume = false) ~design ~env () =
   let trace =
-    match trace with
-    | Some _ as t -> t
-    | None -> Option.map Obs.sink_of_path (env_path "PDAT_TRACE")
-  in
-  let log = match log with Some _ as l -> l | None -> env_path "PDAT_LOG" in
-  let metrics_out =
-    match metrics_out with
-    | Some _ as m -> m
-    | None -> env_path "PDAT_METRICS_OUT"
+    match (trace, Sys.getenv_opt "PDAT_TRACE") with
+    | (Some _ as t), _ -> t
+    | None, Some p when String.trim p <> "" -> Some (Obs.Chrome p)
+    | None, (Some _ | None) -> None
   in
   let was_enabled = Obs.is_enabled () in
   if trace <> None then Obs.enable ();
-  (* the run log: opened here (unless the caller already opened one),
-     closed on every exit path.  PDAT_LOG_LEVEL lowers the threshold to
-     debug or raises it to warn/error. *)
-  let log_opened =
-    match log with
-    | Some path when not (Obs.Log.active ()) ->
-        let level =
-          match Sys.getenv_opt "PDAT_LOG_LEVEL" with
-          | Some s -> (
-              match Obs.Log.level_of_string s with
-              | Some l -> l
-              | None -> Obs.Log.Info)
-          | None -> Obs.Log.Info
-        in
-        Obs.Log.set ~level path;
-        true
-    | Some _ | None -> false
-  in
   let counters0 = Obs.counters () in
   let finish_trace () =
     (match trace with
     | Some sink -> Obs.write_sink sink (Obs.drain () @ Obs.counter_events ())
     | None -> ());
-    (* metrics snapshot even when the run raises: a crashed run's
-       counters are exactly the ones worth scraping *)
-    (match metrics_out with
-    | Some path -> Obs.write_file_atomic path (Obs.openmetrics ())
-    | None -> ());
-    if log_opened then Obs.Log.close ();
     if not was_enabled then Obs.disable ()
   in
   Fun.protect ~finally:finish_trace @@ fun () ->
@@ -260,18 +225,16 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
     (* chaos: PDAT_CHAOS="sigterm:<stage>" kills the process here,
        simulating an operator interrupt at a stage boundary *)
     Engine.Chaos.stage_sigterm name;
-    Obs.Log.event ~stage:name "stage-start"
-      ~kv:
-        (match stage_alloc name with
-        | Some a -> [ ("alloc_s", Obs.Float a) ]
-        | None -> []);
-    let r, dt = Obs.with_span_timed ~cat:"stage" name f in
+    (* a budgeted stage's span records the allocation it started with *)
+    let args =
+      Option.map
+        (fun a () -> [ ("alloc_s", Obs.Float a) ])
+        (stage_alloc name)
+    in
+    let r, dt = Obs.with_span_timed ~cat:"stage" ?args name f in
     stage_seconds := (name, dt) :: !stage_seconds;
-    Obs.Log.event ~stage:name "stage-end" ~kv:[ ("wall_s", Obs.Float dt) ];
     r
   in
-  Obs.Log.event ~stage:"run" "run-start"
-    ~kv:[ ("variant", Obs.Str env.Environment.description) ];
   let injected = ref None in
   let try_fault hook =
     match inject with
@@ -518,14 +481,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
         })
       journal
   in
-  Obs.Log.event ~stage:"run" "run-end"
-    ~kv:
-      [
-        ("seconds", Obs.Float (Obs.Clock.now_s () -. t0));
-        ("mined", Obs.Int (List.length candidates));
-        ("proved", Obs.Int (List.length proved));
-        ("validated", Obs.Bool validated);
-      ];
   {
     reduced;
     report =

@@ -121,8 +121,6 @@ val run :
   ?provenance:Report.Provenance.t ->
   ?dump_cex:string ->
   ?trace:Obs.sink ->
-  ?log:string ->
-  ?metrics_out:string ->
   ?run_dir:string ->
   ?resume:bool ->
   design:Netlist.Design.t ->
@@ -188,26 +186,13 @@ val run :
 
     [trace] writes an execution trace of the run to the given {!Obs}
     sink: one span per stage, each carrying the SAT/rsim/cache counters
-    it moved, plus final counter totals.  Chrome sinks load directly in
-    [chrome://tracing] / Perfetto.  When [trace] is absent, a non-empty
-    [PDAT_TRACE] environment variable selects a sink by path
-    ([.jsonl] → JSONL, anything else → Chrome JSON).  Tracing state is
-    restored (and the file written) even when the run raises.
-
-    [log] names a structured run-log file: leveled JSONL events
-    ({!Obs.Log}) — run-start/run-end, and stage-start (with its budget
-    allocation) and stage-end per stage.  When absent, a non-empty [PDAT_LOG]
-    environment variable names the file; [PDAT_LOG_LEVEL]
-    (debug/info/warn/error) sets the threshold, default info.  The log
-    is appended to (crash-safe: one [write] per line), left untouched
-    if the caller already opened one, and closed on every exit path
-    when [run] opened it.
-
-    [metrics_out] names a file that receives the process's {!Obs}
-    counters and histograms in OpenMetrics/Prometheus text format
-    ({!Obs.openmetrics}) when the run finishes — written atomically
-    (tmp + rename) and even when the run raises.  When absent, a
-    non-empty [PDAT_METRICS_OUT] selects the path.
+    it moved (and, for a budgeted stage under [time_budget], the
+    [alloc_s] seconds it was allotted at its start), then the final
+    counter totals and histogram summaries ({!Obs.counter_events}).
+    The file loads directly in [chrome://tracing] / Perfetto.  When
+    [trace] is absent, a non-empty [PDAT_TRACE] environment variable
+    names the file.  Tracing state is restored (and the file written)
+    even when the run raises.
 
     @raise Rejected on a malformed input netlist (always), or on any
     Error-severity input lint finding when [lint = Strict]. *)

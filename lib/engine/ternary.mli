@@ -10,8 +10,10 @@
     counterexamples, but it misses everything that depends on input
     correlations, e.g. "these 32 bits always form a LUI or an ADD").
 
-    PDAT uses it two ways: as a fast first screen before the inductive
-    prover, and as the engine-comparison ablation. *)
+    PDAT uses it two ways: lint's dataflow engine ({!Absint}) runs on
+    its lattice and per-cell transfer function ({!eval_cell}), and
+    [bench lint] takes its {!constants} as a stand-in proved set for
+    the certified-rewire audit. *)
 
 type input_class = Zero | One | Free
 

@@ -22,58 +22,14 @@ module Clock = struct
 end
 
 module Hw = struct
-  let from_getconf () =
-    try
-      let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-      let line = try Some (input_line ic) with End_of_file -> None in
-      ignore (Unix.close_process_in ic);
-      match line with
-      | Some l -> int_of_string_opt (String.trim l)
-      | None -> None
-    with _ -> None
-
-  let from_proc_cpuinfo () =
-    try
-      let ic = open_in "/proc/cpuinfo" in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.length line >= 9 && String.sub line 0 9 = "processor"
-               then incr n
-             done
-           with End_of_file -> ());
-          if !n > 0 then Some !n else None)
-    with _ -> None
-
-  let detect () =
-    match from_getconf () with
-    | Some n when n >= 1 -> n
-    | _ -> ( match from_proc_cpuinfo () with Some n -> n | None -> 1)
-
-  let cached = ref (-1)
-
-  let online_cores () =
-    match Sys.getenv_opt "PDAT_FORCE_CORES" with
-    | Some s when String.trim s <> "" -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ ->
-            if !cached < 0 then cached := detect ();
-            !cached)
-    | _ ->
-        if !cached < 0 then cached := detect ();
-        !cached
+  let online_cores = Domain.recommended_domain_count
 end
 
 (* ---------------- recorder state ------------------------------------ *)
 
 type arg = Int of int | Float of float | Str of string | Bool of bool
 
-type phase = Complete | Instant | Counter
+type phase = Complete | Counter
 
 type event = {
   name : string;
@@ -208,13 +164,6 @@ let histograms () =
     hists []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let histogram_samples () =
-  Hashtbl.fold
-    (fun k h acc ->
-      if h.n > 0 then (k, Array.sub h.samples 0 h.n) :: acc else acc)
-    hists []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let () = reset_hists := fun () -> Hashtbl.reset hists
 
 (* ---------------- cost attribution ---------------------------------- *)
@@ -306,19 +255,6 @@ end
 
 let record e = events := e :: !events
 
-let instant ?(cat = "instant") ?(args = []) name =
-  if !enabled then
-    record
-      {
-        name;
-        cat;
-        ph = Instant;
-        ts_us = Clock.now_s () *. 1e6;
-        dur_us = 0.;
-        pid = !cur_pid;
-        args;
-      }
-
 let with_span ?(cat = "span") ?args name f =
   if not !enabled then f ()
   else begin
@@ -370,20 +306,28 @@ let drain () =
   events := [];
   l
 
+(* Final totals as Chrome counter events: one per counter, then one per
+   non-empty histogram carrying its summary, so the trace holds every
+   number the recorder keeps except the raw samples. *)
 let counter_events () =
   let ts = Clock.now_s () *. 1e6 in
+  let event cat name args =
+    { name; cat; ph = Counter; ts_us = ts; dur_us = 0.; pid = !cur_pid; args }
+  in
   List.map
-    (fun (name, v) ->
-      {
-        name;
-        cat = "counter";
-        ph = Counter;
-        ts_us = ts;
-        dur_us = 0.;
-        pid = !cur_pid;
-        args = [ ("value", Float v) ];
-      })
+    (fun (name, v) -> event "counter" name [ ("value", Float v) ])
     (counters ())
+  @ List.map
+      (fun (name, h) ->
+        event "histogram" name
+          [
+            ("count", Int h.count);
+            ("p50", Float h.p50);
+            ("p90", Float h.p90);
+            ("p95", Float h.p95);
+            ("max", Float h.max_v);
+          ])
+      (histograms ())
 
 (* ---------------- JSON emission ------------------------------------- *)
 
@@ -422,34 +366,18 @@ let event_json e =
   let ph, extra =
     match e.ph with
     | Complete -> ("X", Printf.sprintf ",\"dur\":%.3f" e.dur_us)
-    | Instant -> ("i", ",\"s\":\"p\"")
     | Counter -> ("C", "")
   in
   Printf.sprintf
     "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f%s,\"pid\":%d,\"tid\":0%s}"
     (escape e.name) (escape e.cat) ph e.ts_us extra e.pid (args_json e.args)
 
-let write_chrome oc evs =
-  output_string oc "{\"traceEvents\":[\n";
-  output_string oc (String.concat ",\n" (List.map event_json evs));
-  output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let write_jsonl oc evs =
-  List.iter
-    (fun e ->
-      output_string oc (event_json e);
-      output_char oc '\n')
-    evs
-
-type sink = Chrome of string | Jsonl of string
-
-let sink_of_path path =
-  if Filename.check_suffix path ".jsonl" then Jsonl path else Chrome path
+type sink = Chrome of string
 
 (* ---------------- atomic file writes -------------------------------- *)
 
 (* Same discipline as Proof_cache v2: write to a pid-unique sibling tmp,
-   then rename.  A reader (the perf gate, a metrics scraper) either sees
+   then rename.  A reader (the perf gate, a trace viewer) either sees
    the old complete file or the new complete file, never a torn one. *)
 let write_file_atomic path contents =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
@@ -463,139 +391,8 @@ let write_file_atomic path contents =
      raise e);
   Sys.rename tmp path
 
-let write_sink sink evs =
-  let path, writer =
-    match sink with
-    | Chrome p -> (p, write_chrome)
-    | Jsonl p -> (p, write_jsonl)
-  in
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> writer oc evs);
-     Sys.rename tmp path
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e)
-
-(* ---------------- structured run log -------------------------------- *)
-
-(* Leveled JSONL event log.  One [Unix.write] per line on an O_APPEND
-   descriptor: atomic on POSIX for these sizes, so two processes
-   appending to the same file interleave whole lines rather than
-   tearing them. *)
-
-module Log = struct
-  type level = Debug | Info | Warn | Error
-
-  let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-  let level_label = function
-    | Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
-
-  let level_of_string s =
-    match String.lowercase_ascii (String.trim s) with
-    | "debug" -> Some Debug
-    | "info" -> Some Info
-    | "warn" | "warning" -> Some Warn
-    | "error" -> Some Error
-    | _ -> None
-
-  let fd : Unix.file_descr option ref = ref None
-  let threshold = ref Info
-
-  let set ?(level = Info) path =
-    (match !fd with Some f -> (try Unix.close f with Unix.Unix_error _ -> ()) | None -> ());
-    threshold := level;
-    fd :=
-      Some
-        (Unix.openfile path
-           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-           0o644)
-
-  let close () =
-    (match !fd with Some f -> (try Unix.close f with Unix.Unix_error _ -> ()) | None -> ());
-    fd := None
-
-  let active () = !fd <> None
-
-  let write_line line =
-    match !fd with
-    | None -> ()
-    | Some f ->
-        let line = line ^ "\n" in
-        let b = Bytes.of_string line in
-        (try ignore (Unix.write f b 0 (Bytes.length b))
-         with Unix.Unix_error _ -> ())
-
-  let event ?(level = Info) ?stage ?(kv = []) name =
-    match !fd with
-    | None -> ()
-    | Some _ when level_rank level < level_rank !threshold -> ()
-    | Some _ ->
-        let b = Buffer.create 128 in
-        Buffer.add_string b
-          (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\""
-             (Clock.wall_s ()) (level_label level) (escape name));
-        (match stage with
-        | Some s -> Buffer.add_string b (Printf.sprintf ",\"stage\":\"%s\"" (escape s))
-        | None -> ());
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string b
-              (Printf.sprintf ",\"%s\":%s" (escape k) (arg_json v)))
-          kv;
-        Buffer.add_char b '}';
-        write_line (Buffer.contents b)
-end
-
-(* ---------------- OpenMetrics exposition ---------------------------- *)
-
-(* Prometheus text format over the always-on counters and histograms.
-   Fully deterministic for a fixed recorder state: names are sanitized
-   and sorted, floats go through %.6g, and histogram buckets are a fixed
-   ladder.  [_count]/[_sum] are over the *retained* reservoir samples
-   (see the histogram doc), which keeps the exposition consistent with
-   the bucket counts. *)
-
-let metric_name name =
-  let b = Buffer.create (String.length name + 5) in
-  Buffer.add_string b "pdat_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    name;
-  Buffer.contents b
-
-let hist_buckets = [ 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10. ]
-
-let openmetrics () =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (name, v) ->
-      let m = metric_name name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" m);
-      Buffer.add_string b (Printf.sprintf "%s_total %s\n" m (float_json v)))
-    (counters ());
-  List.iter
-    (fun (name, samples) ->
-      let m = metric_name name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" m);
-      let n = Array.length samples in
-      let cum le = Array.fold_left (fun acc s -> if s <= le then acc + 1 else acc) 0 samples in
-      List.iter
-        (fun le ->
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" m (float_json le) (cum le)))
-        hist_buckets;
-      Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m n);
-      Buffer.add_string b
-        (Printf.sprintf "%s_sum %s\n" m
-           (float_json (Array.fold_left ( +. ) 0. samples)));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" m n))
-    (histogram_samples ());
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
+let write_sink (Chrome path) evs =
+  write_file_atomic path
+    ("{\"traceEvents\":[\n"
+    ^ String.concat ",\n" (List.map event_json evs)
+    ^ "\n],\"displayTimeUnit\":\"ms\"}\n")

@@ -14,7 +14,7 @@
       conflicts/decisions/propagations and cache hits it caused.
 
     Recorded events serialize as Chrome trace-event JSON (load the file
-    in [chrome://tracing] / Perfetto) or as JSONL. *)
+    in [chrome://tracing] / Perfetto), the layer's one sink. *)
 
 module Clock : sig
   val now_s : unit -> float
@@ -35,11 +35,9 @@ end
 
 module Hw : sig
   val online_cores : unit -> int
-  (** Detected online CPU count: [getconf _NPROCESSORS_ONLN], falling
-      back to counting [processor] lines in [/proc/cpuinfo], falling
-      back to 1.  Cached after the first call.  The [PDAT_FORCE_CORES]
-      environment variable overrides the detection (checked on every
-      call; intended for tests that need a deterministic count). *)
+  (** [Domain.recommended_domain_count ()]: the CPUs in the process's
+      affinity mask (so [taskset -c 0] reads 1), at least 1 and at most
+      the runtime's domain limit (128). *)
 end
 
 (** {1 Counters} *)
@@ -128,7 +126,7 @@ end
 
 type arg = Int of int | Float of float | Str of string | Bool of bool
 
-type phase = Complete | Instant | Counter
+type phase = Complete | Counter
 
 type event = {
   name : string;
@@ -163,28 +161,18 @@ val with_span_timed :
     in seconds, measured on {!Clock.now_s} whether or not tracing is
     enabled — the pipeline's per-stage timing is this value. *)
 
-val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
-(** Record a point event (when enabled). *)
-
 val drain : unit -> event list
 (** All recorded events in chronological order; clears the buffer. *)
 
 val counter_events : unit -> event list
-(** One [Counter] event per current counter, timestamped now — append
-    to a drained event list so the final totals appear in the trace. *)
+(** Final totals, timestamped now — append to a drained event list so
+    they close the trace.  One [Counter] event per current counter
+    (arg [value]), then one per non-empty histogram (args [count],
+    [p50], [p90], [p95], [max]; category ["histogram"]). *)
 
-(** {1 Sinks} *)
+(** {1 Sink} *)
 
-type sink = Chrome of string | Jsonl of string
-
-val sink_of_path : string -> sink
-(** [.jsonl] paths select {!Jsonl}, everything else {!Chrome}. *)
-
-val write_chrome : out_channel -> event list -> unit
-(** Chrome trace-event format: [{"traceEvents": [...]}]. *)
-
-val write_jsonl : out_channel -> event list -> unit
-(** One JSON event object per line. *)
+type sink = Chrome of string
 
 val write_file_atomic : string -> string -> unit
 (** [write_file_atomic path contents] writes through a pid-unique
@@ -193,44 +181,5 @@ val write_file_atomic : string -> string -> unit
     torn file.  Raises as [open_out]/[Sys.rename] do. *)
 
 val write_sink : sink -> event list -> unit
-(** Write (creating/overwriting) the sink's file.  Atomic: the file is
-    staged as a pid-unique tmp and renamed into place. *)
-
-(** {1 Structured run log}
-
-    Leveled JSONL events ([{"ts":..,"level":..,"event":..,...}]) on an
-    [O_APPEND] descriptor, one [Unix.write] per line, so concurrent
-    writers interleave whole lines rather than tearing them.
-    Inactive (every call a no-op) until {!Log.set} opens a file. *)
-
-module Log : sig
-  type level = Debug | Info | Warn | Error
-
-  val level_of_string : string -> level option
-  (** ["debug"]/["info"]/["warn"]/["error"], case-insensitive. *)
-
-  val set : ?level:level -> string -> unit
-  (** Open (append) the log file and set the minimum level (default
-      [Info]).  Replaces any previously open log. *)
-
-  val close : unit -> unit
-  val active : unit -> bool
-
-  val event :
-    ?level:level -> ?stage:string -> ?kv:(string * arg) list -> string ->
-    unit
-  (** Emit one event line: [ts] (wall clock), [level], [event] name,
-      optional [stage], then the [kv] pairs.  Dropped when no
-      log is open or the level is below the threshold. *)
-end
-
-(** {1 OpenMetrics exposition} *)
-
-val openmetrics : unit -> string
-(** The current counters and histograms in Prometheus/OpenMetrics text
-    format: each counter as [pdat_<name>_total], each histogram with
-    cumulative buckets over a fixed le-ladder
-    (1e-5 … 10, +Inf) plus [_sum]/[_count], terminated by [# EOF].
-    Histogram [_count]/[_sum] cover the retained reservoir samples.
-    Byte-deterministic for a fixed recorder state: names sanitized
-    ([^a-zA-Z0-9_] → [_]) and emitted in sorted order. *)
+(** Write (creating/overwriting) the sink's file as Chrome trace-event
+    JSON ([{"traceEvents": [...]}]), through {!write_file_atomic}. *)

@@ -8,8 +8,8 @@
     two-condition rule keeps micro-noise on millisecond numbers from
     tripping the gate while still catching a 20% slide on a
     seconds-scale stage timing.  Counters and derived ratios
-    (SAT-call counts, speedups, [jobs_effective]) are reported as
-    informational deltas only.
+    (SAT-call counts, speedups) are reported as informational deltas
+    only.
 
     Everything here is byte-deterministic for fixed inputs: fields
     are sorted by name, floats render with a fixed format, and no
