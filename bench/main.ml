@@ -1,15 +1,14 @@
 (* Benchmark and reproduction harness.
 
-   Usage:  main.exe [target] [--fast] [--json] [--trace]
+   Usage:  main.exe [target...] [--fast|--full] [--json] [--trace]
 
-   Targets: table1 table2 fig5 fig6 fig7 ablation micro sat lint all
-   (default: all).  Each figure target regenerates the corresponding
-   paper table/figure as text rows (variant, area, gate count, deltas vs
-   the "Full" baseline); `micro` runs one Bechamel timing per
-   table/figure on a representative kernel of that experiment; `lint`
-   times the structural
-   lint on all three cores (failing on any Error finding) and the
-   certificate audit on an Ibex rv32i certified rewire.
+   Targets: table1 table2 fig5 fig6 fig7 ablation lint all (default:
+   all).  Each figure target regenerates the corresponding paper
+   table/figure as text rows (variant, area, gate count, deltas vs the
+   "Full" baseline); `lint` times the structural lint on all three
+   cores (failing on any Error finding) and the certificate audit on an
+   Ibex rv32i certified rewire.  Every argument is checked before any
+   target runs: an unknown one prints the usage line and exits 2.
 
    `--json` additionally writes BENCH_<target>.json next to the binary:
    machine-readable per-variant, per-stage wall-clock timings and
@@ -73,19 +72,6 @@ let write_bench_json target fields_of_entries =
   in
   Obs.write_file_atomic path contents;
   Format.printf "wrote %s@." path
-
-(* the prover's per-candidate cost attribution (deterministic ranking:
-   conflicts, then SAT calls, then key — wall seconds are data here,
-   never rank) *)
-let top_costs_json (stats : Engine.Induction.stats) =
-  String.concat ", "
-    (List.map
-       (fun (r : Obs.Attr.row) ->
-         Printf.sprintf
-           "{\"key\": \"%s\", \"sat_calls\": %d, \"conflicts\": %d, \
-            \"wall_s\": %.4f}"
-           (json_escape r.Obs.Attr.a_key) r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
-       stats.Engine.Induction.top_costs)
 
 let counters_json cs =
   String.concat ", "
@@ -190,72 +176,6 @@ let run_ablation () =
        { Engine.Rsim.default with Engine.Rsim.cycles = 384; runs = 2 }, 2);
     ]
 
-(* --- bechamel micro-benchmarks ------------------------------------------ *)
-
-let run_micro () =
-  let open Bechamel in
-  let ibex = lazy (Cores.Ibex_like.build ()) in
-  let small_rsim = { Engine.Rsim.default with Engine.Rsim.cycles = 64; runs = 1 } in
-  (* one Test.make per table/figure, timing that experiment's dominant
-     kernel at a bounded size *)
-  let t_table1 =
-    Test.make ~name:"table1:workload-profiles"
-      (Staged.stage (fun () -> ignore (Sys.opaque_identity Isa.Workloads.table1_riscv)))
-  in
-  let t_table2 =
-    Test.make ~name:"table2:core-stats"
-      (Staged.stage (fun () ->
-           let t = Lazy.force ibex in
-           ignore (Netlist.Stats.of_design t.Cores.Ibex_like.design)))
-  in
-  let t_fig5 =
-    Test.make ~name:"fig5:ibex-candidate-mining"
-      (Staged.stage (fun () ->
-           let t = Lazy.force ibex in
-           let d = t.Cores.Ibex_like.design in
-           let env =
-             Pdat.Environment.riscv_cutpoint d
-               ~nets:(Cores.Ibex_like.cutpoint_nets t) Isa.Subset.rv32i
-           in
-           ignore
-             (Pdat.Property_library.mine ~config:small_rsim
-                ~model:env.Pdat.Environment.model
-                ~assume:env.Pdat.Environment.assume
-                ~stimulus:env.Pdat.Environment.stimulus ())))
-  in
-  let t_fig6 =
-    Test.make ~name:"fig6:cm0-obfuscation"
-      (Staged.stage (fun () ->
-           let t = Lazy.force ibex in
-           ignore (Netlist.Obfuscate.nand_remap t.Cores.Ibex_like.design)))
-  in
-  let t_fig7 =
-    Test.make ~name:"fig7:resynthesis-pass"
-      (Staged.stage (fun () ->
-           let t = Lazy.force ibex in
-           ignore (Synthkit.Simplify.run t.Cores.Ibex_like.design)))
-  in
-  let tests =
-    Test.make_grouped ~name:"pdat" ~fmt:"%s %s"
-      [ t_table1; t_table2; t_fig5; t_fig6; t_fig7 ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Format.printf "== Bechamel micro-benchmarks (monotonic clock) ==@.";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ ns ] -> Format.printf "%-32s %12.0f ns/run@." name ns
-      | Some _ | None -> Format.printf "%-32s (no estimate)@." name)
-    results
-
 (* --- static analysis ---------------------------------------------------- *)
 
 let run_lint () =
@@ -283,9 +203,7 @@ let run_lint () =
   let row3 =
     lint_one "ridecore"
       (let config =
-         if fast then
-           { Cores.Ridecore_like.rob_entries = 16; phys_regs = 48;
-             iq_entries = 8; pht_entries = 64; btb_entries = 8 }
+         if fast then Cores.Ridecore_like.fast_config
          else Cores.Ridecore_like.default_config
        in
        (Cores.Ridecore_like.build ~config ()).Cores.Ridecore_like.design)
@@ -336,96 +254,6 @@ let run_lint () =
          (Analysis.Certificate.length certificate)
          audit_s)
 
-(* --- sat: incremental prover vs the snapshot/restore baseline ---------- *)
-
-let run_sat () =
-  Format.printf
-    "== Incremental SAT prover: Ibex fig5 kernel (cutpoint, rv32i) ==@.";
-  let t = Cores.Ibex_like.build () in
-  let d = t.Cores.Ibex_like.design in
-  let env =
-    Pdat.Environment.riscv_cutpoint d ~nets:(Cores.Ibex_like.cutpoint_nets t)
-      Isa.Subset.rv32i
-  in
-  let model = env.Pdat.Environment.model in
-  let assume = env.Pdat.Environment.assume in
-  let rsim = { Engine.Rsim.default with Engine.Rsim.cycles = 400; runs = 2 } in
-  let mined =
-    Pdat.Property_library.mine ~config:rsim ~model ~assume
-      ~stimulus:env.Pdat.Environment.stimulus ()
-    |> Pdat.Property_library.restrict_to_original ~original:d
-    |> Engine.Rsim.refine ~config:rsim ~assume model
-         env.Pdat.Environment.stimulus
-  in
-  (* The snapshot baseline is what this target demonstrates escaping:
-     on the full ~6k-candidate kernel it runs for the better part of an
-     hour.  Fast mode hands all three provers the same deterministic
-     stride sample of the refined set — every [stride]-th candidate, so
-     the mix of easy and hard obligations mirrors the whole kernel
-     rather than its first page — and the comparison stays apples to
-     apples; --full measures everything. *)
-  let stride = 5 in
-  let candidates =
-    if fast then List.filteri (fun i _ -> i mod stride = 0) mined else mined
-  in
-  Format.printf "%d candidates after refinement%s@." (List.length candidates)
-    (if List.compare_length_with mined (List.length candidates) > 0 then
-       Printf.sprintf " (fast mode: 1-in-%d sample of %d)" stride
-         (List.length mined)
-     else "");
-  let opts =
-    { Engine.Induction.k = 1; call_conflict_budget = 30_000;
-      total_conflict_budget = -1; time_budget_s = infinity }
-  in
-  let timed f =
-    let t0 = Obs.Clock.now_s () in
-    let r = f () in
-    (r, Obs.Clock.now_s () -. t0)
-  in
-  (* both provers run serially in this process so the comparison is pure
-     solver work: snapshot/restore baseline vs incremental with
-     selector-guarded clauses *)
-  let (snap, s_snap), t_snap =
-    timed (fun () ->
-        Engine.Induction.prove_snapshot ~options:opts ~assume model candidates)
-  in
-  let (inc, s_inc), t_inc =
-    timed (fun () ->
-        Engine.Induction.prove ~options:opts ~assume model candidates)
-  in
-  let sorted l = List.sort Engine.Candidate.compare l in
-  let identical = sorted snap = sorted inc in
-  Format.printf "snapshot   : proved %d in %.2fs (%d SAT calls)@."
-    (List.length snap) t_snap s_snap.Engine.Induction.sat_calls;
-  Format.printf "incremental: proved %d in %.2fs (%d SAT calls)@."
-    (List.length inc) t_inc s_inc.Engine.Induction.sat_calls;
-  if not identical then begin
-    Format.eprintf "FAIL: proved sets differ (snapshot %d, incremental %d)@."
-      (List.length snap) (List.length inc);
-    exit 1
-  end;
-  Format.printf "proved sets identical: yes@.";
-  let speedup_incremental = if t_inc > 0. then t_snap /. t_inc else 0. in
-  Format.printf "speedup vs snapshot: incremental %.2fx@." speedup_incremental;
-  if speedup_incremental < 1.0 then begin
-    Format.eprintf
-      "FAIL: incremental prover slower than the snapshot baseline (%.2fx)@."
-      speedup_incremental;
-    exit 1
-  end;
-  if json then
-    write_bench_json "sat"
-      (Printf.sprintf
-         "  \"candidates\": %d,\n  \"proved\": %d,\n  \"identical\": %b,\n  \
-          \"cores\": %d,\n  \"t_snapshot_s\": %.3f,\n  \
-          \"t_incremental_s\": %.3f,\n  \
-          \"speedup_incremental\": %.3f,\n  \"snapshot_sat_calls\": %d,\n  \
-          \"incremental_sat_calls\": %d,\n  \"top_costs\": [%s]\n"
-         (List.length candidates) (List.length inc) identical
-         (Obs.Hw.online_cores ()) t_snap t_inc speedup_incremental
-         s_snap.Engine.Induction.sat_calls s_inc.Engine.Induction.sat_calls
-         (top_costs_json s_inc))
-
 (* With --trace, each target records spans for its whole run and writes
    them as TRACE_<target>.json; the file is written even when the target
    fails so the trace of a failing run is not lost. *)
@@ -444,39 +272,37 @@ let with_target_trace target f =
       f
   end
 
+let targets =
+  [
+    ("table1", run_table1);
+    ("table2", run_table2);
+    ("fig5", run_fig5);
+    ("fig6", run_fig6);
+    ("fig7", run_fig7);
+    ("ablation", run_ablation);
+    ("lint", run_lint);
+  ]
+
 let () =
-  let rec strip = function
-    | a :: rest
-      when a = "--fast" || a = "--full" || a = "--json" || a = "--trace" ->
-        strip rest
-    | a :: rest -> a :: strip rest
-    | [] -> []
+  let flags = [ "--fast"; "--full"; "--json"; "--trace" ] in
+  let names =
+    List.filter
+      (fun a -> not (List.mem a flags))
+      (List.tl (Array.to_list Sys.argv))
   in
-  let targets = strip (List.tl (Array.to_list Sys.argv)) in
-  let targets = if targets = [] then [ "all" ] else targets in
-  let dispatch_target = function
-    | "table1" -> run_table1 ()
-    | "table2" -> run_table2 ()
-    | "fig5" -> run_fig5 ()
-    | "fig6" -> run_fig6 ()
-    | "fig7" -> run_fig7 ()
-    | "ablation" -> run_ablation ()
-    | "micro" -> run_micro ()
-    | "sat" -> run_sat ()
-    | "lint" -> run_lint ()
-    | "all" ->
-        run_table1 ();
-        run_table2 ();
-        run_fig5 ();
-        run_fig6 ();
-        run_fig7 ();
-        run_ablation ();
-        run_micro ();
-        run_sat ();
-        run_lint ()
-    | other ->
-        Format.eprintf "unknown target %s@." other;
-        exit 1
-  in
-  let dispatch target = with_target_trace target (fun () -> dispatch_target target) in
-  List.iter dispatch targets
+  let names = if names = [] then [ "all" ] else names in
+  (match List.find_opt (fun a -> a <> "all" && not (List.mem_assoc a targets)) names with
+  | Some other ->
+      Format.eprintf "unknown argument %s@.usage: main.exe [%s|all ...] %s@." other
+        (String.concat "|" (List.map fst targets))
+        "[--fast|--full] [--json] [--trace]";
+      exit 2
+  | None -> ());
+  List.iter
+    (fun name ->
+      let run =
+        if name = "all" then fun () -> List.iter (fun (_, run) -> run ()) targets
+        else List.assoc name targets
+      in
+      with_target_trace name run)
+    names

@@ -106,9 +106,7 @@ let build_core ?(fast = false) kind =
       (Netlist.Obfuscate.run t.Cores.Cm0_like.design, None)
   | `Ridecore ->
       let config =
-        if fast then
-          { Cores.Ridecore_like.rob_entries = 16; phys_regs = 48;
-            iq_entries = 8; pht_entries = 64; btb_entries = 8 }
+        if fast then Cores.Ridecore_like.fast_config
         else Cores.Ridecore_like.default_config
       in
       ((Cores.Ridecore_like.build ~config ()).Cores.Ridecore_like.design, None)

@@ -221,40 +221,3 @@ let constrain_low_bits t nets ~bits:k =
     assume = combined.Ctx.nets.(0);
     description = t.description ^ " + aligned";
   }
-
-(* --- ternary input classification ------------------------------------ *)
-
-(* bit of a 32-bit instruction slot is constant iff every encoding in
-   the subset fixes it to the same value; used by the ternary engine *)
-let ternary_classes subset =
-  let encs = Isa.Subset.encodings subset in
-  let bit_class i =
-    let rec go acc = function
-      | [] -> (
-          match acc with
-          | Some 0 -> Engine.Ternary.Zero
-          | Some _ -> Engine.Ternary.One
-          | None -> Engine.Ternary.Free)
-      | (e : Isa.Encoding.t) :: rest ->
-          if i >= e.Isa.Encoding.width || e.Isa.Encoding.mask land (1 lsl i) = 0
-          then Engine.Ternary.Free
-          else
-            let v = (e.Isa.Encoding.value lsr i) land 1 in
-            (match acc with
-            | None -> go (Some v) rest
-            | Some v' when v' = v -> go acc rest
-            | Some _ -> Engine.Ternary.Free)
-    in
-    if i >= 32 || encs = [] then Engine.Ternary.Free else go None encs
-  in
-  Array.init 32 bit_class
-
-let ternary_classify d ~port subset =
-  let table = ternary_classes subset in
-  let nets = D.input_bus d port in
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i n -> Hashtbl.replace index n (i mod 32)) nets;
-  fun n ->
-    match Hashtbl.find_opt index n with
-    | Some bit -> table.(bit)
-    | None -> Engine.Ternary.Free

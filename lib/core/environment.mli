@@ -54,10 +54,3 @@ val constrain_low_bits :
 (** Additionally require the given nets' low [bits] to be 0 — used for
     the "Aligned" variant's word-aligned data-address restriction.
     Simulation lanes violating it are masked, not failed. *)
-
-val ternary_classify :
-  Netlist.Design.t -> port:string -> Isa.Subset.t ->
-  (Netlist.Design.net -> Engine.Ternary.input_class)
-(** Input classification for {!Engine.Ternary.constants}: instruction-
-    port bits that every subset encoding fixes become stuck constants,
-    everything else (including all non-port inputs) is free. *)

@@ -15,6 +15,10 @@ let default_config =
   { rob_entries = 64; phys_regs = 96; iq_entries = 16; pht_entries = 256;
     btb_entries = 8 }
 
+let fast_config =
+  { rob_entries = 16; phys_regs = 48; iq_entries = 8; pht_entries = 64;
+    btb_entries = 8 }
+
 type t = {
   design : Netlist.Design.t;
   instr_port : string;

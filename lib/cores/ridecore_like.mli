@@ -32,6 +32,10 @@ type config = {
 
 val default_config : config
 
+val fast_config : config
+(** ROB 16, 48 physical registers, IQ 8, PHT 64, BTB 8: the scaled-down
+    core that [--fast] runs of the CLI and the bench harness reduce. *)
+
 type t = {
   design : Netlist.Design.t;
   instr_port : string;

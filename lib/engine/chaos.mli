@@ -10,11 +10,6 @@
     - ["sigterm:<stage>"] — the process sends itself SIGTERM when the
       named pipeline stage starts (one-shot), simulating an operator
       kill; a journaled run must be resumable afterwards.
-    - ["slow-solver"] / ["slow-solver:<sec>"] — every SAT solve sleeps
-      for [<sec>] (default 0.002) seconds first: the synthetic
-      regression the CI perf gate proves it can catch.  Implemented in
-      [Sat.Solver] (the sat layer cannot depend on this module), listed
-      here because [PDAT_CHAOS] is the single chaos surface.
 
     All hooks are inert when [PDAT_CHAOS] is unset — the production
     path pays one [getenv] per injection point. *)

@@ -142,18 +142,15 @@ let candidate_nets acc = function
   | Candidate.Const (n, _) -> n :: acc
   | Candidate.Implies { a; b; _ } -> a :: b :: acc
 
-(* The side encodes the cone of [roots], by default [assume] and the
-   nets of every claim it makes.  Candidates only ever die, so the
-   cone computed from the initial set covers every later check. *)
-let build_side ?roots d ~assume ~init ~n_frames ~check_frames ~guarded ~known
+(* The side encodes the cone of [assume] and the nets of every claim
+   it makes.  Candidates only ever die, so the cone computed from the
+   initial set covers every later check. *)
+let build_side d ~assume ~init ~n_frames ~check_frames ~guarded ~known
     candidates =
   let roots =
-    match roots with
-    | Some r -> r
-    | None ->
-        List.fold_left candidate_nets
-          (Array.fold_left candidate_nets [ assume ] candidates)
-          known
+    List.fold_left candidate_nets
+      (Array.fold_left candidate_nets [ assume ] candidates)
+      known
   in
   let solver = S.create () in
   let u = Unroll.create solver d ~init ~roots ~frames:n_frames in
@@ -556,93 +553,6 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
       budget_exhausted = !exhausted;
       deadline_exceeded = !deadline_hit;
       top_costs = Obs.Attr.top (Obs.Attr.delta ~since:attr0 (Obs.Attr.export ()));
-    } )
-
-(* Reference prover, retained as the differential-test oracle and the
-   bench baseline: the pre-incremental snapshot/restore discipline.
-   Every pass re-encodes the unrolled transition relation into fresh
-   solvers and pays one solver round-trip per candidate, so no learned
-   clause or selector survives between checks.  Slow but
-   obviously correct — on complete runs (no budget/deadline drop) its
-   proved set is the greatest mutual-induction fixpoint, which is
-   exactly what [prove] computes incrementally. *)
-let prove_snapshot ?(options = default_options) ?(known = []) ~assume d
-    candidate_list =
-  let candidates = Array.of_list candidate_list in
-  let n = Array.length candidates in
-  let ckey = Array.map Candidate.key candidates in
-  let alive = Array.make n true in
-  let sat_calls = ref 0 in
-  let rounds = ref 0 in
-  let k = max 1 options.k in
-  let deadline =
-    if options.time_budget_s = infinity then None
-    else Some (Obs.Clock.now_s () +. Float.max 0. options.time_budget_s)
-  in
-  let solve_one solver assumptions =
-    incr sat_calls;
-    S.solve ~assumptions ~conflict_budget:options.call_conflict_budget
-      ?deadline solver
-  in
-  (* the oracle keeps the whole design in every frame *)
-  let roots = List.init (D.num_nets d) Fun.id in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    incr rounds;
-    let base =
-      build_side ~roots d ~assume ~init:`Reset ~n_frames:k
-        ~check_frames:(List.init k (fun i -> i))
-        ~guarded:false ~known candidates
-    in
-    Array.iteri
-      (fun i a ->
-        if a then
-          match
-            Obs.Attr.with_key ckey.(i) (fun () ->
-                solve_one (Unroll.solver base.u) [ base.viol.(i) ])
-          with
-          | S.Sat | S.Unknown ->
-              alive.(i) <- false;
-              continue := true
-          | S.Unsat -> ())
-      alive;
-    let step =
-      build_side ~roots d ~assume ~init:`Free ~n_frames:(k + 1)
-        ~check_frames:[ k ] ~guarded:true ~known candidates
-    in
-    let assumptions () =
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        if alive.(i) then acc := step.guards.(i) :: !acc
-      done;
-      !acc
-    in
-    Array.iteri
-      (fun i a ->
-        if a then
-          match
-            Obs.Attr.with_key ckey.(i) (fun () ->
-                solve_one (Unroll.solver step.u)
-                  (step.viol.(i) :: assumptions ()))
-          with
-          | S.Sat | S.Unknown ->
-              alive.(i) <- false;
-              continue := true
-          | S.Unsat -> ())
-      alive
-  done;
-  let proved = ref [] in
-  for i = n - 1 downto 0 do
-    if alive.(i) then proved := candidates.(i) :: !proved
-  done;
-  ( !proved,
-    {
-      blank_stats with
-      n_candidates = n;
-      n_proved = List.length !proved;
-      sat_calls = !sat_calls;
-      rounds = !rounds;
     } )
 
 type attribution = { verdict : verdict; cache_hit : bool }

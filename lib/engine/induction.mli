@@ -133,24 +133,6 @@ val prove :
     extraction at each base-side kill (one literal read per input per
     frame, while the SAT model is live). *)
 
-val prove_snapshot :
-  ?options:options ->
-  ?known:Candidate.t list ->
-  assume:Netlist.Design.net ->
-  Netlist.Design.t ->
-  Candidate.t list ->
-  Candidate.t list * stats
-(** The pre-incremental snapshot/restore prover, kept as a
-    differential-test oracle and bench baseline: every pass re-encodes
-    the transition relation of the whole design, not the candidates'
-    cone, into fresh solvers and pays one solver
-    round-trip per candidate per pass, so nothing — learned clauses,
-    selectors — is reused between checks.  On complete runs
-    (generous budgets, no [Unknown] drops) its proved set is the
-    greatest mutual-induction fixpoint and must be byte-identical to
-    {!prove}'s.  No counterexample propagation and no fates: this is a
-    measurement and verification artifact, not a production path. *)
-
 val prove_parallel :
   ?options:options ->
   ?cex:Stimulus.t * int ->

@@ -15,19 +15,16 @@ type stats = {
   stored : int;
   corrupt_files : int;
   salvaged_entries : int;
-  evicted_files : int;
 }
 
 type t = {
   dir : string option;
-  max_bytes : int option;
   scopes : (scope, scope_state) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable stored : int;
   mutable corrupt : int;
   mutable salvaged : int;
-  mutable evicted : int;
 }
 
 let rec mkdir_p path =
@@ -38,8 +35,8 @@ let rec mkdir_p path =
 
 (* ---------------- single-writer discipline --------------------------- *)
 
-(* Every mutation of the cache directory — flush, eviction, stale-tmp
-   cleanup, quarantine moves — happens under an exclusive lock on
+(* Every mutation of the cache directory — flush, stale-tmp cleanup,
+   quarantine moves — happens under an exclusive lock on
    [<dir>/.lock], so two processes sharing a cache directory serialize
    their writes instead of clobbering each other's tmp files.  Readers
    never take the lock: a reader sees either the old or the new file of
@@ -66,7 +63,7 @@ let sweep_stale_tmps dir =
         try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-let create ?dir ?max_bytes () =
+let create ?dir () =
   Option.iter
     (fun d ->
       mkdir_p d;
@@ -74,30 +71,19 @@ let create ?dir ?max_bytes () =
     dir;
   {
     dir;
-    max_bytes;
     scopes = Hashtbl.create 8;
     hits = 0;
     misses = 0;
     stored = 0;
     corrupt = 0;
     salvaged = 0;
-    evicted = 0;
   }
 
 let dir t = t.dir
 
 let stats t =
   { hits = t.hits; misses = t.misses; stored = t.stored;
-    corrupt_files = t.corrupt; salvaged_entries = t.salvaged;
-    evicted_files = t.evicted }
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.stored <- 0;
-  t.corrupt <- 0;
-  t.salvaged <- 0;
-  t.evicted <- 0
+    corrupt_files = t.corrupt; salvaged_entries = t.salvaged }
 
 (* ---------------- content addressing -------------------------------- *)
 
@@ -300,40 +286,6 @@ let record t sc cand verdict =
     Obs.add_int "cache.stored" 1
   end
 
-(* Oldest-mtime scope files go first; the quarantine subdirectory and
-   the lock file never count against the budget. *)
-let evict t dir limit =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter_map (fun name ->
-           if not (Filename.check_suffix name ".pdatcache") then None
-           else
-             let path = Filename.concat dir name in
-             match Unix.stat path with
-             | { Unix.st_size; st_mtime; _ } -> Some (path, st_size, st_mtime)
-             | exception Unix.Unix_error _ -> None)
-  in
-  let total = List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 files in
-  if total > limit then begin
-    let by_age =
-      List.sort (fun (_, _, a) (_, _, b) -> compare a b) files
-    in
-    let excess = ref (total - limit) in
-    List.iter
-      (fun (path, sz, _) ->
-        if !excess > 0 then begin
-          (try
-             Sys.remove path;
-             excess := !excess - sz;
-             t.evicted <- t.evicted + 1;
-             Obs.add_int "cache.evicted_files" 1
-           with Sys_error _ -> ());
-          (* the in-memory scope survives; drop nothing there *)
-          ()
-        end)
-      by_age
-  end
-
 let flush t =
   match t.dir with
   | None -> ()
@@ -358,5 +310,4 @@ let flush t =
                 ignore (Chaos.cache_truncate ~path);
                 st.dirty <- false
               end)
-            t.scopes;
-          Option.iter (evict t d) t.max_bytes)
+            t.scopes)

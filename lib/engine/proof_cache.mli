@@ -37,8 +37,7 @@
     rename it into place; stale tmp files left by crashed writers are
     swept on [create].  All directory mutations take an exclusive
     [lockf] lock on [<dir>/.lock], so processes sharing a cache
-    directory serialize their writes.  With [max_bytes], each flush
-    evicts oldest-mtime scope files until the directory fits. *)
+    directory serialize their writes. *)
 
 type t
 
@@ -53,15 +52,13 @@ type stats = {
   stored : int;   (** new entries recorded *)
   corrupt_files : int;  (** damaged scope files quarantined *)
   salvaged_entries : int;  (** CRC-valid entries recovered from them *)
-  evicted_files : int;  (** scope files removed by size eviction *)
 }
 
-val create : ?dir:string -> ?max_bytes:int -> unit -> t
+val create : ?dir:string -> unit -> t
 (** [dir], if given, enables disk persistence under that directory
     (created if missing; stale [*.tmp] files from crashed writers are
-    removed).  [max_bytes] bounds the total size of scope files in the
-    directory — enforced at [flush] by evicting oldest-mtime files
-    first.  Without [dir] the cache lives and dies with the process. *)
+    removed).  Without [dir] the cache lives and dies with the
+    process. *)
 
 val dir : t -> string option
 
@@ -85,11 +82,7 @@ val record : t -> scope -> Candidate.t -> verdict -> unit
 
 val flush : t -> unit
 (** Writes every modified scope to disk (atomically, via a pid-unique
-    tmp file and rename, under the directory lock), then applies the
-    [max_bytes] eviction if configured.  No-op for in-memory caches. *)
+    tmp file and rename, under the directory lock).  No-op for
+    in-memory caches. *)
 
 val stats : t -> stats
-
-val reset_counters : t -> unit
-(** Zeroes all counters without touching entries — lets tests and
-    benches meter a single run. *)

@@ -27,12 +27,7 @@ let cm0_obfuscated =
 let ridecore_full = lazy (Cores.Ridecore_like.build ())
 
 let ridecore_fast =
-  lazy
-    (Cores.Ridecore_like.build
-       ~config:
-         { Cores.Ridecore_like.rob_entries = 16; phys_regs = 48;
-           iq_entries = 8; pht_entries = 64; btb_entries = 8 }
-       ())
+  lazy (Cores.Ridecore_like.build ~config:Cores.Ridecore_like.fast_config ())
 
 let design_of ?(fast = false) (v : Variants.t) =
   match v.Variants.core with

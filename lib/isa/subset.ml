@@ -49,11 +49,6 @@ let remove name t dropped =
     dropped;
   { t with name; instrs = List.filter (fun i -> not (List.mem i dropped)) t.instrs }
 
-let encodings t =
-  match t.arch with
-  | Riscv -> List.map (fun nm -> (Rv32.find nm).Rv32.enc) t.instrs
-  | Arm -> List.map (fun nm -> (Armv6m.find nm).Armv6m.enc) t.instrs
-
 (* --- RISC-V families -------------------------------------------------- *)
 
 let of_exts name exts =

@@ -22,8 +22,6 @@ val union : string -> t -> t -> t
 val remove : string -> t -> string list -> t
 val inter : string -> t -> t -> t
 
-val encodings : t -> Encoding.t list
-
 (* RISC-V family subsets used across the evaluation *)
 
 val rv32imcz : t

@@ -864,36 +864,9 @@ let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
     !result
   end
 
-(* PDAT_CHAOS=slow-solver[:sec] delays every solve — the synthetic
-   regression the CI perf gate proves it can catch.  Parsed here (the
-   sat layer cannot see Engine.Chaos) with the same comma-separated
-   re-parse-per-injection-point convention. *)
-let chaos_slow_solver () =
-  match Sys.getenv_opt "PDAT_CHAOS" with
-  | None | Some "" -> ()
-  | Some specs ->
-      String.split_on_char ',' specs
-      |> List.iter (fun spec ->
-             let spec = String.trim spec in
-             let delay =
-               if spec = "slow-solver" then Some 0.002
-               else
-                 match String.index_opt spec ':' with
-                 | Some i when String.sub spec 0 i = "slow-solver" ->
-                     float_of_string_opt
-                       (String.sub spec (i + 1) (String.length spec - i - 1))
-                 | _ -> None
-             in
-             match delay with
-             | Some d when d > 0. -> (
-                 try ignore (Unix.select [] [] [] d)
-                 with Unix.Unix_error _ -> ())
-             | _ -> ())
-
 let solve ?assumptions ?conflict_budget ?deadline s =
   let c0 = s.conflicts and d0 = s.decisions and p0 = s.propagations in
   let t0 = Obs.Clock.now_s () in
-  chaos_slow_solver ();
   let r = solve_body ?assumptions ?conflict_budget ?deadline s in
   let dt = Obs.Clock.now_s () -. t0 in
   Obs.observe "sat.call_s" dt;

@@ -4,7 +4,8 @@
 
    The soundness contract under test: a constant reported by [Absint]
    is an invariant of the design under the same [assume] the inductive
-   prover uses, so the snapshot oracle must confirm every one of them. *)
+   prover uses, so the non-incremental [Oracle] must confirm every one
+   of them. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -19,14 +20,14 @@ let same_set a b = sorted a = sorted b
 let mem_const consts n b =
   List.exists (Engine.Candidate.equal (Engine.Candidate.Const (n, b))) consts
 
-(* the snapshot oracle must prove the whole constant set: the
+(* the oracle must prove the whole constant set: the
    conjunction of absint constants is 1-inductive under the same
    assumption, and mutual induction is complete for conjunctive
    1-inductive sets *)
 let oracle_confirms d assume consts =
   consts = []
   ||
-  let proved, _ = Engine.Induction.prove_snapshot ~assume d consts in
+  let proved = Oracle.prove ~assume d consts in
   same_set proved consts
 
 (* --- the abstract fixpoint --------------------------------------------- *)

@@ -201,8 +201,8 @@ let test_lane_leaves_environment () =
   check "mine: q = 0 mined" true (has q0 (Engine.Rsim.mine ~assume:a d stim));
   check "refine: q = 0 survives" true
     (has q0 (Engine.Rsim.refine ~assume:a d stim [ q0 ]));
-  let snap, _ = Engine.Induction.prove_snapshot ~assume:a d [ q0; r0 ] in
-  check "prove_snapshot: q = 0 proved, r = 0 not" true (snap = [ q0 ]);
+  let snap = Oracle.prove ~assume:a d [ q0; r0 ] in
+  check "oracle: q = 0 proved, r = 0 not" true (snap = [ q0 ]);
   let proved, _ =
     Engine.Induction.prove ~cex:(stim, 24) ~assume:a d [ q0; r0 ]
   in
@@ -336,8 +336,8 @@ let test_undriven_net_is_free () =
       let cands = [ Engine.Candidate.Const (m, true) ] in
       let proved, _ = Engine.Induction.prove ~assume:D.net_true d cands in
       check_int (label ^ ": prove: m = 1 not proved") 0 (List.length proved);
-      let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
-      check_int (label ^ ": prove_snapshot: m = 1 not proved") 0
+      let snap = Oracle.prove ~assume:D.net_true d cands in
+      check_int (label ^ ": oracle: m = 1 not proved") 0
         (List.length snap))
     [
       ("undriven", fun d -> D.new_net d);

@@ -299,7 +299,7 @@ let qcheck_subset_monitor_consistency =
         (fun e ->
           e.Isa.Encoding.width = i.Isa.Rv32.enc.Isa.Encoding.width
           && Isa.Encoding.matches e w)
-        (Isa.Subset.encodings subset))
+        (List.map (fun nm -> (Isa.Rv32.find nm).Isa.Rv32.enc) instrs))
 
 let () =
   Alcotest.run "isa"

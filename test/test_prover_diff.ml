@@ -2,7 +2,7 @@
    cache.
 
    The central claim under test: the incremental [Induction.prove]
-   proves *exactly* the set the snapshot/restore oracle proves,
+   proves *exactly* the set the non-incremental [Oracle] proves,
    [Induction.prove_parallel] adds nothing but the cache split (its
    ignored [~jobs] forks no worker), and every proved invariant survives
    long constrained simulation.  The matrix runs without [~cex], so
@@ -50,7 +50,7 @@ let gen_config =
 let mine_config =
   { Engine.Rsim.default with Engine.Rsim.cycles = 128; runs = 1 }
 
-(* --- incremental == snapshot == prove_parallel, across seeds ----------- *)
+(* --- incremental == oracle == prove_parallel, across seeds ------------- *)
 
 let test_differential () =
   let nonempty = ref 0 in
@@ -61,12 +61,13 @@ let test_differential () =
     in
     let serial, sst = Engine.Induction.prove ~assume:D.net_true d cands in
     (* the incremental prover (persistent solvers, selector-guarded
-       clauses) against the snapshot/restore oracle: both run to
-       completion, so the greatest-fixpoint sets must be byte-identical *)
-    let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
+       clauses) against the oracle (a fresh solver per check): both run
+       to completion, so the greatest-fixpoint sets must be
+       byte-identical *)
+    let snap = Oracle.prove ~assume:D.net_true d cands in
     if not (same_set serial snap) then
       Alcotest.failf
-        "seed %d: incremental proved %d, snapshot oracle proved %d \
+        "seed %d: incremental proved %d, oracle proved %d \
          (different sets)"
         seed (List.length serial) (List.length snap);
     if serial <> [] then begin
@@ -103,13 +104,13 @@ let test_differential () =
       true
       (survives_sim d D.net_true par ~cycles:1000);
     (* lint's dataflow engine: every constant it reports must be
-       confirmed by the snapshot oracle *)
+       confirmed by the oracle *)
     let consts = Engine.Absint.constants (Engine.Absint.run ~assume:D.net_true d) in
     if consts <> [] then begin
-      let pc, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d consts in
+      let pc = Oracle.prove ~assume:D.net_true d consts in
       if not (same_set pc consts) then
         Alcotest.failf
-          "seed %d: snapshot oracle refuted %d of %d absint constants" seed
+          "seed %d: oracle refuted %d of %d absint constants" seed
           (List.length consts - List.length pc)
           (List.length consts)
     end
@@ -136,7 +137,7 @@ let test_starved_budget () =
     let cands =
       Engine.Rsim.mine ~config:mine_config d Engine.Stimulus.unconstrained
     in
-    let snap, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d cands in
+    let snap = Oracle.prove ~assume:D.net_true d cands in
     let proved, st =
       Engine.Induction.prove ~options ~assume:D.net_true d cands
     in
@@ -144,11 +145,10 @@ let test_starved_budget () =
       incr looped;
     if not (List.for_all (fun c -> List.mem c snap) proved) then
       Alcotest.failf
-        "seed %d: budget-3 run proved a candidate the snapshot oracle did \
-         not" seed;
+        "seed %d: budget-3 run proved a candidate the oracle did not" seed;
     (* every survivor passed its last check assuming only the final
        proved set, so that set must be inductive on its own *)
-    let self, _ = Engine.Induction.prove_snapshot ~assume:D.net_true d proved in
+    let self = Oracle.prove ~assume:D.net_true d proved in
     if not (same_set self proved) then
       Alcotest.failf "seed %d: budget-3 proved set is not inductive on its own"
         seed;
@@ -193,13 +193,11 @@ let test_strict_cone_cex () =
             ~cex:(Engine.Stimulus.unconstrained, 24)
             ~fates ~assume:D.net_true d cands
         in
-        let snap, _ =
-          Engine.Induction.prove_snapshot ~options ~assume:D.net_true d cands
-        in
+        let snap = Oracle.prove ~k ~assume:D.net_true d cands in
         if not (same_set proved snap) then
           Alcotest.failf
-            "k=%d seed %d: cone prover with cex proved %d, snapshot oracle \
-             proved %d (different sets)"
+            "k=%d seed %d: cone prover with cex proved %d, oracle proved %d \
+             (different sets)"
             k seed (List.length proved) (List.length snap);
         Hashtbl.iter
           (fun cand v ->
@@ -411,33 +409,6 @@ let test_cache_stale_tmp_cleanup () =
       in
       check "no tmp file survives a flush" true (leftover = []))
 
-let test_cache_eviction () =
-  let d, cands = cache_fixture () in
-  with_temp_dir (fun dir ->
-      (* seed one scope file, then open with a 1-byte budget: the next
-         flush must evict down to (under) the budget *)
-      let seed = Engine.Proof_cache.create ~dir () in
-      let _ =
-        Engine.Induction.prove_parallel ~cache:seed ~assume:D.net_true
-          d cands
-      in
-      Engine.Proof_cache.flush seed;
-      let scope_files () =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".pdatcache")
-      in
-      check "seed run wrote a scope file" true (scope_files () <> []);
-      let bounded = Engine.Proof_cache.create ~dir ~max_bytes:1 () in
-      let _ =
-        Engine.Induction.prove_parallel ~cache:bounded
-          ~assume:D.net_true d cands
-      in
-      Engine.Proof_cache.flush bounded;
-      check "over-budget scope files evicted" true (scope_files () = []);
-      check "eviction counted" true
-        ((Engine.Proof_cache.stats bounded).Engine.Proof_cache.evicted_files
-        >= 1))
-
 (* --- the chaos matrix: crash-safety end-to-end ------------------------- *)
 
 (* Two disjoint blocks, sized so pipeline mining reliably finds the
@@ -592,8 +563,6 @@ let () =
             test_cache_corrupt_files_are_cold;
           Alcotest.test_case "stale tmps swept, flush leaves none" `Quick
             test_cache_stale_tmp_cleanup;
-          Alcotest.test_case "size budget evicts oldest scope files" `Quick
-            test_cache_eviction;
         ] );
       ( "chaos",
         [

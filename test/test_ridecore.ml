@@ -8,11 +8,7 @@ let check_int = Alcotest.(check int)
 
 (* a smaller configuration keeps unit-test latency reasonable; the
    full-size core is exercised by the scale test and the benches *)
-let test_config =
-  { Cores.Ridecore_like.rob_entries = 16; phys_regs = 48; iq_entries = 8;
-    pht_entries = 64; btb_entries = 8 }
-
-let core = lazy (Cores.Ridecore_like.build ~config:test_config ())
+let core = lazy (Cores.Ridecore_like.build ~config:Cores.Ridecore_like.fast_config ())
 
 let peek_reg tb k =
   let t = Lazy.force core in
