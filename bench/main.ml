@@ -1,6 +1,6 @@
 (* Benchmark and reproduction harness.
 
-   Usage:  main.exe [target...] [--fast|--full] [--json] [--trace]
+   Usage:  main.exe [target...] [--full] [--json] [--trace]
 
    Targets: table1 table2 fig5 fig6 fig7 ablation lint all (default:
    all).  Each figure target regenerates the corresponding paper
@@ -284,7 +284,7 @@ let targets =
   ]
 
 let () =
-  let flags = [ "--fast"; "--full"; "--json"; "--trace" ] in
+  let flags = [ "--full"; "--json"; "--trace" ] in
   let names =
     List.filter
       (fun a -> not (List.mem a flags))
@@ -295,7 +295,7 @@ let () =
   | Some other ->
       Format.eprintf "unknown argument %s@.usage: main.exe [%s|all ...] %s@." other
         (String.concat "|" (List.map fst targets))
-        "[--fast|--full] [--json] [--trace]";
+        "[--full] [--json] [--trace]";
       exit 2
   | None -> ());
   List.iter

@@ -56,18 +56,19 @@ let default_refine =
    participates when validation is on, so with it off the proof stage's
    share grows instead of being silently forfeited.  Each weight is the
    stage's mean share, in percent, of the stage times of [pdat reduce]
-   at CLI defaults (the report's [stage_seconds]), averaged over three
-   runs of each configuration on a 2-vCPU Xeon KVM guest:
-   - Ibex rv32i --validate, 1.7-2.1 s: mine 20.8, refine 44.9,
-     prove 24.0, validate 0.7;
-   - obfuscated CM0 mibench-all --validate, 9.2-11.2 s: mine 18.5,
-     refine 42.0, prove 24.3, validate 9.8;
-   - RIDECORE rv32i --fast, 7.6-8.5 s: mine 22.5, refine 43.3,
-     prove 23.4.
+   at CLI defaults (the report's [stage_seconds], read from the stage
+   spans of [--trace]), averaged over three runs of each configuration
+   on a 2-vCPU Xeon KVM guest:
+   - Ibex rv32i --validate, 2.4-2.8 s: mine 20.2, refine 48.5,
+     prove 21.5, validate 0.6;
+   - obfuscated CM0 mibench-all --validate, 11.0-13.3 s: mine 21.6,
+     refine 39.1, prove 21.5, validate 11.1;
+   - RIDECORE rv32i --fast, 9.6-10.7 s: mine 23.0, refine 45.8,
+     prove 18.8.
    Validate's mean is over the two configurations that validate. *)
 let stage_weights ~validate =
-  [ ("mine", 20.6); ("refine", 43.4); ("prove", 23.9) ]
-  @ (if validate then [ ("validate", 5.3) ] else [])
+  [ ("mine", 21.6); ("refine", 44.4); ("prove", 20.6) ]
+  @ (if validate then [ ("validate", 5.9) ] else [])
 
 (* Replayable counterexamples for refuted candidates.  At most
    [max_cex_dumps] waveforms are written per run — enough to explain a

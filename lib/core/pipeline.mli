@@ -18,8 +18,8 @@
       an unvalidated reduction;
     - {b deadlines} ([~time_budget]): a wall-clock budget split across
       the budgeted stages in proportion to fixed weights, each stage's
-      measured mean share of the run (mine 20.6, refine 43.4, prove
-      23.9, validate 5.3 — the validate weight only counts when
+      measured mean share of the run (mine 21.6, refine 44.4, prove
+      20.6, validate 5.9 — the validate weight only counts when
       validation is on).  Each stage claims its share of the
       budget {e remaining at its start}, so a stage finishing early
       donates its slack to every later stage, and with validation off

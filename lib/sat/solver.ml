@@ -48,10 +48,19 @@
    Assumptions occupy decision levels 1..n; a conflict is never resolved
    by flipping an assumption, so unsatisfiability under assumptions
    surfaces when an assumption is false at its own establishment (or at
-   level 0).  A decision enqueues the positive literal of the VSIDS
-   pick and no phase is saved, so a model sets every variable the
-   clauses leave free to true.  The search answers Sat as soon as the
-   trail covers every variable. *)
+   level 0).  The VSIDS heap holds only variables that conflict analysis
+   has bumped.  Every other unassigned variable is decided by [scan],
+   which walks variable indices downward, newest first: [new_var] and
+   [cancel_until] raise it over any unassigned variable above it.  The
+   never-bumped variables all tie at activity 0, so the heap would hand
+   them out in an order its sifts scramble, at a pop per variable per
+   model.  The prover's unroller numbers each frame's nets in
+   topological order and adds its claims last, so newest-first instead
+   fills in a model from the check frame's deepest logic down.  A
+   decision enqueues the positive literal of its pick and no phase is
+   saved, so a model sets every variable the clauses leave free to
+   true.  The search answers Sat as soon as the trail covers every
+   variable. *)
 
 let no_reason = -1
 
@@ -83,6 +92,8 @@ type t = {
   mutable heap : int array;
   mutable heap_pos : int array;
   mutable heap_len : int;
+  mutable scan : int;
+      (* every unassigned variable that is off the heap is at most [scan] *)
   mutable seen : bool array;
   mutable trail : int array;
   mutable trail_len : int;
@@ -123,6 +134,7 @@ let create () =
     heap = Array.make 2 0;
     heap_pos = Array.make 2 (-1);
     heap_len = 0;
+    scan = -1;
     seen = Array.make 2 false;
     trail = Array.make 16 0;
     trail_len = 0;
@@ -269,7 +281,7 @@ let new_var s =
   let v = s.n_vars in
   s.n_vars <- v + 1;
   ensure_capacity s s.n_vars;
-  heap_insert s v;
+  s.scan <- v;
   v
 
 let lit_val s l = s.assign.(l lsr 1) lxor (l land 1)
@@ -290,7 +302,8 @@ let cancel_until s lvl =
     for i = s.trail_len - 1 downto target do
       let v = s.trail.(i) lsr 1 in
       s.assign.(v) <- undef;
-      heap_insert s v
+      if s.activity.(v) > 0.0 then heap_insert s v
+      else if v > s.scan then s.scan <- v
     done;
     s.trail_len <- target;
     s.qhead <- target;
@@ -777,11 +790,20 @@ let luby x =
   done;
   1 lsl !seq
 
-(* Every unassigned variable is on the heap, and the caller has checked
-   that one exists. *)
+(* Bumped variables first, by activity; then the newest unassigned
+   variable at or below [scan].  An unassigned variable is on the heap
+   or at most [scan], and the caller has checked that one exists. *)
 let rec pick_branch_var s =
-  let v = heap_pop s in
-  if s.assign.(v) = undef then v else pick_branch_var s
+  if s.heap_len > 0 then begin
+    let v = heap_pop s in
+    if s.assign.(v) = undef then v else pick_branch_var s
+  end
+  else begin
+    while s.assign.(s.scan) <> undef do
+      s.scan <- s.scan - 1
+    done;
+    s.scan
+  end
 
 let solve_body ?(assumptions = []) ?(conflict_budget = -1) ?deadline s =
   let deadline = match deadline with Some t -> t | None -> infinity in

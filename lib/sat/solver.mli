@@ -2,11 +2,13 @@
     learning, VSIDS branching, Luby restarts and activity-based
     learned-clause reduction.
 
-    Every decision sets the VSIDS pick to [true]; no phase is saved.
-    A model therefore drives every variable the clauses leave free to
-    [true], which is what the prover wants of a counterexample: the
-    candidates that die are almost all stuck-at-0 constants and
-    implications, and a model breaks those by driving nets to 1.
+    The VSIDS heap holds only variables that conflict analysis has
+    bumped; the rest are decided newest first, highest index down.
+    Every decision sets its pick to [true]; no phase is saved.  A model
+    therefore drives every variable the clauses leave free to [true],
+    which is what the prover wants of a counterexample: the candidates
+    that die are almost all stuck-at-0 constants and implications, and
+    a model breaks those by driving nets to 1.
 
     The solver is incremental: clauses may be added between [solve]
     calls, and each call may carry assumption literals.  A conflict

@@ -111,6 +111,16 @@ let test_no_saved_phase () =
   check_result "sat" true (is_sat (Sat.Solver.solve s));
   check_result "x true once the assumption is gone" true (Sat.Solver.value s 0)
 
+(* The branching order: a variable no conflict has bumped is decided
+   newest first.  x3, then x2, are set true, which forces x1 false. *)
+let test_newest_first () =
+  let s = mk 3 in
+  Sat.Solver.add_clause s [ lit (-1); lit (-2); lit (-3) ];
+  check_result "sat" true (is_sat (Sat.Solver.solve s));
+  check_result "x1 false" false (Sat.Solver.value s 0);
+  check_result "x2 true" true (Sat.Solver.value s 1);
+  check_result "x3 true" true (Sat.Solver.value s 2)
+
 let test_incremental () =
   let s = mk 3 in
   Sat.Solver.add_clause s [ lit 1; lit 2 ];
@@ -598,6 +608,8 @@ let () =
           Alcotest.test_case "free variables read true" `Quick
             test_free_variables_read_true;
           Alcotest.test_case "no saved phase" `Quick test_no_saved_phase;
+          Alcotest.test_case "unbumped variables newest first" `Quick
+            test_newest_first;
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "wall-clock deadline" `Quick test_deadline;
           Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
