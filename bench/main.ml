@@ -209,17 +209,16 @@ let run_lint () =
        (Cores.Ridecore_like.build ~config ()).Cores.Ridecore_like.design)
   in
   let rows = [ row1; row2; row3 ] in
-  (* certified rewire + audit on the Ibex rv32i kernel: ternary-proved
-     constants stand in for the inductive prover so the target stays in
-     seconds, the certificate/audit path is identical *)
+  (* certified rewire + audit on the Ibex rv32i kernel: ternary
+     reachability's constants stand in for the inductive prover so the
+     target stays in seconds, the certificate/audit path is identical *)
   let d = ibex.Cores.Ibex_like.design in
   let env =
     Pdat.Environment.riscv_cutpoint d
       ~nets:(Cores.Ibex_like.cutpoint_nets ibex) Isa.Subset.rv32i
   in
   let proved =
-    Engine.Ternary.constants env.Pdat.Environment.model
-      ~classify:(fun _ -> Engine.Ternary.Free)
+    Engine.Absint.constants (Engine.Absint.run env.Pdat.Environment.model)
     |> Pdat.Property_library.restrict_to_original ~original:d
   in
   let rewired, certificate = Pdat.Rewire.apply_certified d proved in

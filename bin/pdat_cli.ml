@@ -338,6 +338,9 @@ let lint_cmd =
     List.iter
       (fun (label, load) ->
         match load () with
+        | exception Netlist.Verilog.Parse_error { line; reason } ->
+            Format.printf "%s:%d: parse error: %s@." label line reason;
+            failed := true
         | exception e ->
             Format.printf "%s: cannot load: %s@." label (Printexc.to_string e);
             failed := true

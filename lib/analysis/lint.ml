@@ -81,12 +81,7 @@ let pi_mask d =
    already reported by the Error-severity rules.  Forced only by the
    dataflow rules, so a structural-only run never pays for it. *)
 let absint_of d =
-  match
-    Engine.Absint.run d ~classify:(fun _ -> Engine.Ternary.Free)
-      ~assume:Netlist.Design.net_true
-  with
-  | exception _ -> None
-  | ai -> Some ai
+  match Engine.Absint.run d with exception _ -> None | ai -> Some ai
 
 let context d =
   { d; drivers = drivers_of d; is_pi = pi_mask d; absint = lazy (absint_of d) }

@@ -17,13 +17,14 @@
     malformed cells) are [Error]; suspicious-but-executable shapes
     (unreachable cells, constant-feedback registers, bus index gaps)
     are [Warning]; the dataflow rules share the one {!Engine.Absint}
-    fixpoint of the context, run with every input [Free] and a true
-    assumption: [ternary-const] ([Info]) flags nets the abstract
-    fixpoint forces to a constant, i.e. dead candidates the miner
-    should skip; [absint-stuck-reg] ([Warning]) flags registers that
-    never leave their reset value — unreachable-FSM-state evidence;
-    [absint-dead-write] ([Info]) flags register write muxes whose
-    select is constant in the fixpoint, leaving one write arm dead. *)
+    ternary-reachability fixpoint of the context, with every input x
+    and every register at its reset value: [ternary-const] ([Info])
+    flags nets the fixpoint forces to a constant, i.e. dead candidates
+    the miner should skip; [absint-stuck-reg] ([Warning]) flags
+    registers that never leave their reset value —
+    unreachable-FSM-state evidence; [absint-dead-write] ([Info]) flags
+    register write muxes whose select is constant in the fixpoint,
+    leaving one write arm dead. *)
 
 type gate = Off | Warn | Strict
 (** How a pipeline stage consumes lint results: [Off] skips the

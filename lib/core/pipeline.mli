@@ -32,9 +32,11 @@
     - {b static analysis} ([~lint]): the input netlist is linted
       ({!Analysis.Lint}) and the rewiring stage emits a certificate
       that is audited against the genuinely proved invariant set
-      ({!Analysis.Audit}).  [Warn] records the findings in the report;
-      [Strict] raises {!Rejected} on an Error-severity input finding
-      and falls back to {!baseline} on an audit rejection.  Basic
+      ({!Analysis.Audit}).  [Warn] and [Strict] both fall back to
+      {!baseline} on an audit rejection, so a netlist the proofs do
+      not certify never ships.  [Warn] records the input findings in
+      the report; [Strict] also raises {!Rejected} on an
+      Error-severity input finding.  Basic
       well-formedness (net ranges, arities) is checked even with the
       gate [Off], so a malformed input always surfaces as a located
       {!Rejected}, never as a bare exception from deep inside a

@@ -1,7 +1,4 @@
-module D = Netlist.Design
 module C = Netlist.Cell
-
-type input_class = Zero | One | Free
 
 (* values: 0, 1, 2 = X *)
 let x = 2
@@ -43,57 +40,3 @@ let eval_cell kind (ins : int array) =
       if o = 0 || ins.(2) = 0 then 1
       else if o = 1 && ins.(2) = 1 then 0 else x
   | C.Dff -> invalid_arg "Ternary: sequential"
-
-let constants ?max_iterations d ~classify =
-  let sched = Netlist.Topo.schedule d in
-  let n_nets = D.num_nets d in
-  let values = Array.make n_nets x in
-  values.(D.net_false) <- 0;
-  values.(D.net_true) <- 1;
-  List.iter
-    (fun (_, n) ->
-      values.(n) <- (match classify n with Zero -> 0 | One -> 1 | Free -> x))
-    (D.inputs d);
-  (* flop state lattice, initialised to the reset values *)
-  Array.iter
-    (fun ci ->
-      let c = D.cell d ci in
-      values.(c.D.out) <- Bool.to_int c.D.init)
-    sched.Netlist.Topo.flops;
-  let eval_comb () =
-    Array.iter
-      (fun ci ->
-        let c = D.cell d ci in
-        values.(c.D.out) <- eval_cell c.D.kind (Array.map (fun n -> values.(n)) c.D.ins))
-      sched.Netlist.Topo.order
-  in
-  let limit =
-    match max_iterations with
-    | Some m -> m
-    | None -> (2 * Array.length sched.Netlist.Topo.flops) + 4
-  in
-  let rec fixpoint i =
-    if i > limit then failwith "Ternary.constants: no convergence";
-    eval_comb ();
-    let changed = ref false in
-    Array.iter
-      (fun ci ->
-        let c = D.cell d ci in
-        let next = join values.(c.D.out) values.(c.D.ins.(0)) in
-        if next <> values.(c.D.out) then begin
-          values.(c.D.out) <- next;
-          changed := true
-        end)
-      sched.Netlist.Topo.flops;
-    if !changed then fixpoint (i + 1)
-  in
-  fixpoint 0;
-  eval_comb ();
-  let is_input = Array.make n_nets false in
-  List.iter (fun (_, n) -> is_input.(n) <- true) (D.inputs d);
-  let out = ref [] in
-  for n = n_nets - 1 downto 2 do
-    if (not is_input.(n)) && values.(n) <> x then
-      out := Candidate.Const (n, values.(n) = 1) :: !out
-  done;
-  !out

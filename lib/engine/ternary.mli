@@ -1,21 +1,11 @@
-(** Three-valued (0/1/X) reachability analysis — a cheap, complete-in-
-    minutes alternative to SAT induction for *constant* invariants.
+(** The three-valued (0/1/X) lattice and its per-cell transfer
+    function — the domain of lint's reachability engine ({!Absint}).
 
-    Every primary input is classified as stuck-at-0, stuck-at-1 or free
-    (X); flip-flops start at their reset values and the state lattice is
-    iterated to a fixpoint, joining each flop's next value into its
-    current one.  Any net still carrying a definite value at the
-    fixpoint is constant on {e all} executions consistent with the
-    input classes — a sound overapproximation (no candidate list, no
-    counterexamples, but it misses everything that depends on input
-    correlations, e.g. "these 32 bits always form a LUI or an ADD").
-
-    PDAT uses it two ways: lint's dataflow engine ({!Absint}) runs on
-    its lattice and per-cell transfer function ({!eval_cell}), and
-    [bench lint] takes its {!constants} as a stand-in proved set for
-    the certified-rewire audit. *)
-
-type input_class = Zero | One | Free
+    A net at a definite value there is constant on every execution;
+    [x] says nothing.  The analysis is a sound over-approximation that
+    misses everything depending on input correlations (e.g. "these 32
+    bits always form a LUI or an ADD"), which is what the inductive
+    prover is for. *)
 
 val x : int
 (** The unknown value.  Definite values are [0] and [1]; every other
@@ -31,13 +21,3 @@ val eval_cell : Netlist.Cell.kind -> int array -> int
     definite inputs already decide the function).
     @raise Invalid_argument on [Dff] — sequential cells have no
     combinational transfer. *)
-
-val constants :
-  ?max_iterations:int ->
-  Netlist.Design.t ->
-  classify:(Netlist.Design.net -> input_class) ->
-  Candidate.t list
-(** Proved constant nets (excluding rails and primary inputs).
-    [classify] is consulted for each primary input bit.
-    @raise Failure if the fixpoint does not converge (cannot happen
-    within [2 * flops + 2] iterations; the default bound is generous). *)

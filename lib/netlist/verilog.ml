@@ -1,4 +1,12 @@
-exception Parse_error of string
+exception Parse_error of { line : int; reason : string }
+
+let () =
+  Printexc.register_printer (function
+    | Parse_error { line; reason } ->
+        Some (Printf.sprintf "Verilog.Parse_error: line %d: %s" line reason)
+    | _ -> None)
+
+let error ~line reason = raise (Parse_error { line; reason })
 
 (* Identifiers containing characters outside [A-Za-z0-9_$] are emitted
    in escaped form (backslash prefix, trailing space), per the Verilog
@@ -82,42 +90,44 @@ type token =
   | Punct of char
   | Attr of string * int
 
+(* Each token carries the 1-based line it starts on. *)
 let tokenize src =
   let toks = ref [] in
   let n = String.length src in
   let i = ref 0 in
-  let peek () = if !i < n then Some src.[!i] else None in
-  let fail msg = raise (Parse_error msg) in
+  let line = ref 1 in
+  let push t = toks := (t, !line) :: !toks in
+  let fail msg = error ~line:!line msg in
   while !i < n do
-    (match src.[!i] with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
+    match src.[!i] with
+    | '\n' ->
+        incr line;
+        incr i
+    | ' ' | '\t' | '\r' -> incr i
     | '/' when !i + 1 < n && src.[!i + 1] = '/' ->
         while !i < n && src.[!i] <> '\n' do incr i done
-    | '(' when !i + 1 < n && src.[!i + 1] = '*' -> begin
+    | '(' when !i + 1 < n && src.[!i + 1] = '*' ->
         (* attribute: (* init = 0 *) *)
-        match String.index_from_opt src !i '*' with
-        | None -> fail "unterminated attribute"
-        | Some _ ->
-            let rec find j =
-              if j + 1 >= n then fail "unterminated attribute"
-              else if src.[j] = '*' && src.[j + 1] = ')' then j
-              else find (j + 1)
-            in
-            let close = find (!i + 2) in
-            let body = String.sub src (!i + 2) (close - !i - 2) in
-            (match String.split_on_char '=' body with
-            | [ k; v ] -> (
-                match int_of_string_opt (String.trim v) with
-                | Some v -> toks := Attr (String.trim k, v) :: !toks
-                | None -> fail ("bad attribute value: " ^ body))
-            | _ -> fail ("bad attribute: " ^ body));
-            i := close + 2
-      end
+        let rec find j =
+          if j + 1 >= n then fail "unterminated attribute"
+          else if src.[j] = '*' && src.[j + 1] = ')' then j
+          else find (j + 1)
+        in
+        let close = find (!i + 2) in
+        let body = String.sub src (!i + 2) (close - !i - 2) in
+        (match String.split_on_char '=' body with
+        | [ k; v ] -> (
+            match int_of_string_opt (String.trim v) with
+            | Some v -> push (Attr (String.trim k, v))
+            | None -> fail ("bad attribute value: " ^ body))
+        | _ -> fail ("bad attribute: " ^ body));
+        String.iter (fun c -> if c = '\n' then incr line) body;
+        i := close + 2
     | '\\' ->
         let start = !i + 1 in
         let rec stop j = if j >= n || src.[j] = ' ' || src.[j] = '\n' then j else stop (j + 1) in
         let j = stop start in
-        toks := Id (String.sub src start (j - start)) :: !toks;
+        push (Id (String.sub src start (j - start)));
         i := j
     | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' | '$' ->
         let start = !i in
@@ -129,41 +139,46 @@ let tokenize src =
             | _ -> j
         in
         let j = stop start in
-        toks := Id (String.sub src start (j - start)) :: !toks;
+        push (Id (String.sub src start (j - start)));
         i := j
     | ('(' | ')' | ';' | ',' | '.' | '=') as c ->
-        toks := Punct c :: !toks;
+        push (Punct c);
         incr i
-    | c -> fail (Printf.sprintf "unexpected character %C" c));
-    ignore (peek ())
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   done;
   List.rev !toks
 
-type stream = { mutable toks : token list }
+(* [line] is the line of the last token taken, so an error points at
+   the token that broke the grammar, or at the last one when the input
+   ends early. *)
+type stream = { mutable toks : (token * int) list; mutable line : int }
+
+let fail st reason = error ~line:st.line reason
 
 let next st =
   match st.toks with
-  | [] -> raise (Parse_error "unexpected end of input")
-  | t :: rest ->
+  | [] -> fail st "unexpected end of input"
+  | (t, line) :: rest ->
       st.toks <- rest;
+      st.line <- line;
       t
 
 let expect_id st =
   match next st with
   | Id s -> s
-  | _ -> raise (Parse_error "expected identifier")
+  | _ -> fail st "expected identifier"
 
 let expect_punct st c =
   match next st with
   | Punct c' when c = c' -> ()
-  | _ -> raise (Parse_error (Printf.sprintf "expected %C" c))
+  | _ -> fail st (Printf.sprintf "expected %C" c)
 
 let expect_kw st kw =
   let s = expect_id st in
-  if s <> kw then raise (Parse_error (Printf.sprintf "expected %S, got %S" kw s))
+  if s <> kw then fail st (Printf.sprintf "expected %S, got %S" kw s)
 
 let of_string ?name src =
-  let st = { toks = tokenize src } in
+  let st = { toks = tokenize src; line = 1 } in
   expect_kw st "module";
   let mod_name = expect_id st in
   let d = Design.create (Option.value ~default:mod_name name) in
@@ -172,10 +187,10 @@ let of_string ?name src =
   Hashtbl.replace nets "1'b1" Design.net_true;
   let outputs = ref [] in
   (* a net already driven by a cell (or a rail) or by an input port must
-     not get a second driver *)
-  let drive ?init kind ins ~out nm =
+     not get a second driver; [line] is where the statement starts *)
+  let drive ~line ?init kind ins ~out nm =
     if Design.driver_kind d out <> `Floating then
-      raise (Parse_error (Printf.sprintf "net %s driven twice" nm));
+      error ~line (Printf.sprintf "net %s driven twice" nm);
     Design.add_cell_out d ?init kind ins ~out
   in
   let net_of nm =
@@ -203,12 +218,12 @@ let of_string ?name src =
         let nm = expect_id st in
         outputs := nm :: !outputs;
         ports_sep ()
-    | _ -> raise (Parse_error "bad port list")
+    | _ -> fail st "bad port list"
   and ports_sep () =
     match next st with
     | Punct ',' -> ports ()
     | Punct ')' -> ()
-    | _ -> raise (Parse_error "bad port list separator")
+    | _ -> fail st "bad port list separator"
   in
   ports ();
   expect_punct st ';';
@@ -223,6 +238,7 @@ let of_string ?name src =
         expect_punct st ';';
         body ()
     | Id "assign" ->
+        let line = st.line in
         let lhs = expect_id st in
         expect_punct st '=';
         let rhs = expect_id st in
@@ -232,7 +248,7 @@ let of_string ?name src =
           (* net alias: emit a buffer *)
           let src_net = net_of rhs in
           (match Hashtbl.find_opt nets lhs with
-          | Some existing -> drive Cell.Buf [| src_net |] ~out:existing lhs
+          | Some existing -> drive ~line Cell.Buf [| src_net |] ~out:existing lhs
           | None ->
               let out = Design.add_cell d Cell.Buf [| src_net |] in
               Hashtbl.replace nets lhs out)
@@ -242,8 +258,9 @@ let of_string ?name src =
         pending_init := v;
         body ()
     | Id cell_name -> begin
+        let line = st.line in
         match Cell.of_name cell_name with
-        | None -> raise (Parse_error ("unknown cell: " ^ cell_name))
+        | None -> fail st ("unknown cell: " ^ cell_name)
         | Some kind ->
             let _inst = expect_id st in
             expect_punct st '(';
@@ -260,15 +277,15 @@ let of_string ?name src =
                   (match next st with
                   | Punct ',' -> conns ()
                   | Punct ')' -> ()
-                  | _ -> raise (Parse_error "bad connection list"))
-              | _ -> raise (Parse_error "expected named connection")
+                  | _ -> fail st "bad connection list")
+              | _ -> fail st "expected named connection"
             in
             conns ();
             expect_punct st ';';
             let pin nmp =
               match Hashtbl.find_opt pins nmp with
               | Some nm -> net_of nm
-              | None -> raise (Parse_error ("missing pin " ^ nmp ^ " on " ^ cell_name))
+              | None -> error ~line ("missing pin " ^ nmp ^ " on " ^ cell_name)
             in
             (match kind with
             | Cell.Const0 | Cell.Const1 ->
@@ -280,12 +297,11 @@ let of_string ?name src =
                 let nm =
                   match Hashtbl.find_opt pins (Cell.output_pin_name kind) with
                   | Some nm -> nm
-                  | None ->
-                      raise (Parse_error ("missing output pin on " ^ cell_name))
+                  | None -> error ~line ("missing output pin on " ^ cell_name)
                 in
                 (match Hashtbl.find_opt nets nm with
                 | Some existing when existing <> rail ->
-                    drive Cell.Buf [| rail |] ~out:existing nm
+                    drive ~line Cell.Buf [| rail |] ~out:existing nm
                 | Some _ -> ()
                 | None -> Hashtbl.replace nets nm rail)
             | _ ->
@@ -297,10 +313,10 @@ let of_string ?name src =
                 let out = pin out_pin in
                 let init = !pending_init = 1 in
                 pending_init := 0;
-                drive ~init kind ins ~out (Hashtbl.find pins out_pin));
+                drive ~line ~init kind ins ~out (Hashtbl.find pins out_pin));
             body ()
       end
-    | _ -> raise (Parse_error "unexpected token in module body")
+    | _ -> fail st "unexpected token in module body"
   in
   body ();
   d

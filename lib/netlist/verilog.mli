@@ -10,7 +10,10 @@ val to_string : Design.t -> string
 
 val write_file : Design.t -> string -> unit
 
-exception Parse_error of string
+exception Parse_error of { line : int; reason : string }
+(** [line] is 1-based: the line of the offending token, of the last
+    token when the input ends early, or of the statement that drives a
+    net twice.  A printer is registered with [Printexc]. *)
 
 val of_string : ?name:string -> string -> Design.t
 (** @raise Parse_error on malformed input, unknown cell names, a

@@ -1,11 +1,12 @@
-(* Tests for the abstract-interpretation dataflow engine behind the
-   absint-backed lint rules, plus first coverage for [Engine.Cutpoint]
-   and [Engine.Equiv].
+(* Tests for the ternary reachability engine behind the absint-backed
+   lint rules, plus first coverage for [Engine.Cutpoint] and
+   [Engine.Equiv].
 
-   The soundness contract under test: a constant reported by [Absint]
-   is an invariant of the design under the same [assume] the inductive
-   prover uses, so the non-incremental [Oracle] must confirm every one
-   of them. *)
+   Two contracts are under test.  A constant reported by [Absint] is an
+   invariant of the design, so the non-incremental [Oracle] must
+   confirm every one of them.  And the event-driven pass reaches the
+   same least fixpoint as the synchronous iteration it replaced
+   ([Kleene]), net for net. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -21,14 +22,20 @@ let mem_const consts n b =
   List.exists (Engine.Candidate.equal (Engine.Candidate.Const (n, b))) consts
 
 (* the oracle must prove the whole constant set: the
-   conjunction of absint constants is 1-inductive under the same
-   assumption, and mutual induction is complete for conjunctive
-   1-inductive sets *)
-let oracle_confirms d assume consts =
+   conjunction of absint constants is 1-inductive, and mutual induction
+   is complete for conjunctive 1-inductive sets *)
+let oracle_confirms d consts =
   consts = []
   ||
-  let proved = Oracle.prove ~assume d consts in
+  let proved = Oracle.prove ~assume:D.net_true d consts in
   same_set proved consts
+
+let check_matches_reference label d =
+  match Kleene.first_mismatch d with
+  | None -> ()
+  | Some (n, got, want) ->
+      Alcotest.failf "%s: net %d (%s) is %d, the Kleene reference says %d"
+        label n (D.net_name d n) got want
 
 (* --- the abstract fixpoint --------------------------------------------- *)
 
@@ -43,9 +50,7 @@ let test_forced_constants () =
   let r2 = D.add_dff d ~d:zero () in
   let y = D.add_cell d C.Or2 [| r; r2 |] in
   D.add_output d "y" y;
-  let ai = A.run ~assume:D.net_true d in
-  check "no contradiction" false (A.contradiction ai);
-  check "fixpoint iterated" true (A.iterations ai >= 1);
+  let ai = A.run d in
   check_int "zero is 0" 0 (A.value ai zero);
   check_int "r is 0" 0 (A.value ai r);
   check_int "r2 is 0" 0 (A.value ai r2);
@@ -63,87 +68,62 @@ let test_forced_constants () =
     (List.exists
        (function Engine.Candidate.Const (n, _) -> n = na | _ -> false)
        consts);
-  check "oracle confirms every constant" true
-    (oracle_confirms d D.net_true consts)
-
-(* the monitor pins an input; only assume-conditioning can see the
-   register behind it never leaves reset — plain ternary cannot *)
-let test_assume_conditioning () =
-  let d = D.create "conditioned" in
-  let i = D.add_input d "i" in
-  let ok = D.add_cell d C.Inv [| i |] in
-  let r = D.add_dff d ~d:i () in
-  D.add_output d "q" r;
-  let plain = A.run ~assume:D.net_true d in
-  check_int "without the monitor the register is free" Engine.Ternary.x
-    (A.value plain r);
-  let ai = A.run ~assume:ok d in
-  check "no contradiction" false (A.contradiction ai);
-  check_int "conditioning forces the input" 0 (A.value ai i);
-  check_int "the register never leaves reset" 0 (A.value ai r);
-  check "constant exported" true (mem_const (A.constants ai) r false);
-  (match A.stuck_registers ai with
-  | [ (ci, false) ] ->
-      check_int "stuck register is the dff" r (D.cell d ci).D.out
-  | l -> Alcotest.failf "expected one stuck register, got %d" (List.length l));
-  check "oracle confirms every conditioned constant" true
-    (oracle_confirms d ok (A.constants ai))
-
-(* implication by conditioning: assuming And2 out = 1 forces both
-   inputs backward, hence the Or2 forward; assuming the Or2 forces
-   neither input, so the And2 stays unknown *)
-let test_implies_proving () =
-  let d = D.create "implies" in
-  let x = D.add_input d "x" in
-  let y = D.add_input d "y" in
-  let a = D.add_cell d C.And2 [| x; y |] in
-  let b = D.add_cell d C.Or2 [| x; y |] in
-  D.add_output d "a" a;
-  D.add_output d "b" b;
-  let on_a = A.run ~assume:a d in
-  check_int "and=1 forces x" 1 (A.value on_a x);
-  check_int "and=1 forces y" 1 (A.value on_a y);
-  check_int "and=1 implies or=1" 1 (A.value on_a b);
-  check "or=1 exported as a constant" true
-    (mem_const (A.constants on_a) b true);
-  check "oracle confirms the implied constant" true
-    (oracle_confirms d a (A.constants on_a));
-  let on_b = A.run ~assume:b d in
-  check_int "or=1 does not imply and=1" Engine.Ternary.x (A.value on_b a);
-  check "and not exported under or=1" false
-    (List.exists
-       (function Engine.Candidate.Const (n, _) -> n = a | _ -> false)
-       (A.constants on_b))
-
-(* an unsatisfiable assumption: the engine must degrade to claiming
-   nothing rather than "proving" everything *)
-let test_contradiction () =
-  let d = D.create "contra" in
-  let a = D.add_input d "a" in
-  let r = D.add_dff d ~d:a () in
-  D.add_output d "q" r;
-  let ai = A.run ~assume:D.net_false d in
-  check "contradiction flagged" true (A.contradiction ai);
-  check "no constants" true (A.constants ai = []);
-  check "no stuck registers claimed" true (A.stuck_registers ai = []);
-  check "no dead writes claimed" true (A.dead_writes ai = [])
+  check "oracle confirms every constant" true (oracle_confirms d consts)
 
 let test_dead_write () =
   let d = D.create "deadwrite" in
   let s = D.add_input d "s" in
   let a = D.add_input d "a" in
   let b = D.add_input d "b" in
-  let ok = D.add_cell d C.Inv [| s |] in
   let m = D.add_cell d C.Mux2 [| s; a; b |] in
   let r = D.add_dff d ~d:m () in
   D.add_output d "q" r;
   (* free select: no claim *)
-  check "free select claims nothing" true
-    (A.dead_writes (A.run ~assume:D.net_true d) = []);
-  (* the monitor pins the select low: the B arm is dead *)
-  match A.dead_writes (A.run ~assume:ok d) with
-  | [ (ci, false) ] -> check_int "the register's write" r (D.cell d ci).D.out
+  check "free select claims nothing" true (A.dead_writes (A.run d) = []);
+  (* tie the select to the 0 rail: the B arm is dead *)
+  let tied = D.substitute d (fun n -> if n = s then D.net_false else n) in
+  match A.dead_writes (A.run tied) with
+  | [ (ci, false) ] -> check_int "the register's write" r (D.cell tied ci).D.out
   | l -> Alcotest.failf "expected one dead write, got %d" (List.length l)
+
+(* The reference's worst case: a toggling flop turns x after one step
+   and each stage behind it one step later, so the reference sweeps the
+   whole register once per stage.  The stages are added last first, so
+   x reaches them through the worklist, not through one pass over the
+   flops in cell order.  The pass must agree on every stage. *)
+let test_shift_register () =
+  let d = D.create "shift" in
+  let t = D.new_net d in
+  D.add_cell_out d C.Dff [| D.add_cell d C.Inv [| t |] |] ~out:t;
+  let stages = Array.init 1000 (fun _ -> D.new_net d) in
+  for k = 999 downto 0 do
+    let prev = if k = 0 then t else stages.(k - 1) in
+    D.add_cell_out d C.Dff [| prev |] ~out:stages.(k)
+  done;
+  D.add_output d "q" stages.(999);
+  check_matches_reference "shift register" d;
+  check_int "the last stage turns x" Engine.Ternary.x
+    (A.value (A.run d) stages.(999))
+
+(* the three cores of the end-to-end benchmark, at its sizes *)
+let small_ridecore =
+  { Cores.Ridecore_like.rob_entries = 8; phys_regs = 40; iq_entries = 4;
+    pht_entries = 16; btb_entries = 4 }
+
+let bench_cores =
+  lazy
+    [
+      ("ibex", (Cores.Ibex_like.build ()).Cores.Ibex_like.design);
+      ("cm0", (Cores.Cm0_like.build ()).Cores.Cm0_like.design);
+      ( "ridecore",
+        (Cores.Ridecore_like.build ~config:small_ridecore ())
+          .Cores.Ridecore_like.design );
+    ]
+
+let test_cores_match_reference () =
+  List.iter
+    (fun (label, d) -> check_matches_reference label d)
+    (Lazy.force bench_cores)
 
 (* --- absint-backed lint rules ------------------------------------------ *)
 
@@ -181,6 +161,25 @@ let test_lint_absint_rules () =
            go 0
          in
          has "B-input"))
+
+(* Per-rule finding counts on the benchmark's cores, as the
+   synchronous iteration read them before the event-driven pass
+   replaced it. *)
+let test_lint_counts_on_cores () =
+  let expected =
+    [ ("ibex", (734, 186, 1)); ("cm0", (916, 516, 2)); ("ridecore", (1510, 918, 0)) ]
+  in
+  List.iter
+    (fun (label, d) ->
+      let ds = Analysis.Lint.run d in
+      let count id =
+        List.length (List.filter (fun x -> x.Analysis.Diag.rule = id) ds)
+      in
+      let tc, uc, sr = List.assoc label expected in
+      check_int (label ^ " ternary-const") tc (count "ternary-const");
+      check_int (label ^ " unreachable-cell") uc (count "unreachable-cell");
+      check_int (label ^ " absint-stuck-reg") sr (count "absint-stuck-reg"))
+    (Lazy.force bench_cores)
 
 (* --- cutpoint insertion ------------------------------------------------ *)
 
@@ -304,18 +303,18 @@ let () =
         [
           Alcotest.test_case "forced constants propagate" `Quick
             test_forced_constants;
-          Alcotest.test_case "assume-conditioning sees through the monitor"
-            `Quick test_assume_conditioning;
-          Alcotest.test_case "implication proving by conditioning" `Quick
-            test_implies_proving;
-          Alcotest.test_case "contradiction degrades to no claims" `Quick
-            test_contradiction;
           Alcotest.test_case "dead write arms" `Quick test_dead_write;
+          Alcotest.test_case "shift register matches the Kleene reference"
+            `Quick test_shift_register;
+          Alcotest.test_case "bench cores match the Kleene reference" `Quick
+            test_cores_match_reference;
         ] );
       ( "lint",
         [
           Alcotest.test_case "absint-backed rules fire" `Quick
             test_lint_absint_rules;
+          Alcotest.test_case "per-rule counts on the bench cores" `Quick
+            test_lint_counts_on_cores;
         ] );
       ( "cutpoint",
         [

@@ -11,6 +11,10 @@ let check_str = Alcotest.(check string)
 
 (* --- ternary ----------------------------------------------------------- *)
 
+(* lint's ternary reachability, every primary input free; a test ties
+   an input to a rail to pin it *)
+let constants d = Engine.Absint.constants (Engine.Absint.run d)
+
 let test_ternary_basics () =
   (* en stuck at 0 freezes an enabled register and its fanout *)
   let d = D.create "t" in
@@ -21,8 +25,8 @@ let test_ternary_basics () =
   D.add_cell_out d ~init:false C.Dff [| next |] ~out:q;
   let y = D.add_cell d C.Or2 [| q; q |] in
   D.add_output d "y" y;
-  let classify n = if n = en then Engine.Ternary.Zero else Engine.Ternary.Free in
-  let consts = Engine.Ternary.constants d ~classify in
+  let d = D.substitute d (fun n -> if n = en then D.net_false else n) in
+  let consts = constants d in
   let has n b = List.mem (Engine.Candidate.Const (n, b)) consts in
   check "q proved 0" true (has q false);
   check "y proved 0" true (has y false);
@@ -33,9 +37,7 @@ let test_ternary_free_input_is_x () =
   let a = D.add_input d "a" in
   let q = D.add_dff d ~d:a () in
   D.add_output d "q" q;
-  let consts =
-    Engine.Ternary.constants d ~classify:(fun _ -> Engine.Ternary.Free)
-  in
+  let consts = constants d in
   check "free-fed flop is unknown" false
     (List.exists
        (function Engine.Candidate.Const (n, _) -> n = q | _ -> false)
@@ -48,9 +50,7 @@ let test_ternary_converges_on_toggle () =
   let nq = D.add_cell d C.Inv [| q |] in
   D.add_cell_out d ~init:false C.Dff [| nq |] ~out:q;
   D.add_output d "q" q;
-  let consts =
-    Engine.Ternary.constants d ~classify:(fun _ -> Engine.Ternary.Free)
-  in
+  let consts = constants d in
   check "toggler not constant" false
     (List.exists
        (function Engine.Candidate.Const (n, _) -> n = q | _ -> false)
@@ -59,9 +59,7 @@ let test_ternary_converges_on_toggle () =
 let test_ternary_sound_vs_induction () =
   (* everything ternary proves, induction must also prove *)
   let d = Netlist.Generate.random ~seed:77 () in
-  let consts =
-    Engine.Ternary.constants d ~classify:(fun _ -> Engine.Ternary.Free)
-  in
+  let consts = constants d in
   let proved, _ = Engine.Induction.prove ~assume:D.net_true d consts in
   check_int "induction confirms all ternary facts" (List.length consts)
     (List.length proved)
@@ -70,17 +68,16 @@ let test_ternary_subset_classification () =
   let t = Cores.Ibex_like.build () in
   let d = t.Cores.Ibex_like.design in
   (* rv32i is all 32-bit encodings: bits 0 and 1 of every instruction
-     word are 1, every other input is free *)
+     word are 1, so tie them to the 1 rail; every other input is free *)
   let nets = D.input_bus d "instr_rdata" in
-  let classify n =
-    if n = nets.(0) || n = nets.(1) then Engine.Ternary.One
-    else Engine.Ternary.Free
+  let tied =
+    D.substitute d (fun n -> if n = nets.(0) || n = nets.(1) then D.net_true else n)
   in
   (* the ternary screen proves some real constants on the core, and
      the stuck bits add some of them *)
-  let consts = Engine.Ternary.constants d ~classify in
+  let consts = constants tied in
   check "finds constants on ibex" true (List.length consts > 0);
-  let free = Engine.Ternary.constants d ~classify:(fun _ -> Engine.Ternary.Free) in
+  let free = constants d in
   check "stuck inputs add constants" true
     (List.length consts > List.length free)
 

@@ -397,32 +397,41 @@ let test_verilog_rejects_garbage () =
             "module m (input a, output z);\n FROB_X1 u1 (.A(a), .Z(z));\nendmodule");
        false
      with Netlist.Verilog.Parse_error _ -> true);
-  (* each must raise [Parse_error] whose message names [what] *)
+  (* each must raise [Parse_error] whose reason names [what], on the
+     line of the offending statement *)
   List.iter
-    (fun (label, src, what) ->
+    (fun (label, src, what, at) ->
       match Netlist.Verilog.of_string src with
       | _ -> Alcotest.failf "%s: accepted" label
-      | exception Netlist.Verilog.Parse_error msg ->
-          if not (contains msg what) then
-            Alcotest.failf "%s: message %S does not name %S" label msg what)
+      | exception Netlist.Verilog.Parse_error { line; reason } ->
+          if not (contains reason what) then
+            Alcotest.failf "%s: reason %S does not name %S" label reason what;
+          Alcotest.(check int) (label ^ ": line") at line)
     [
       ( "non-integer attribute value",
         "module m (input CLK, input a, output q);\n\
         \  (* init = x *) DFF_X1 r (.CK(CLK), .D(a), .Q(q));\nendmodule",
-        "init = x" );
+        "init = x", 2 );
       ( "two cells on one wire",
         "module m (input a, output z);\n  wire w;\n\
         \  INV_X1 u1 (.A(a), .ZN(w));\n  BUF_X1 u2 (.A(a), .Z(w));\n\
         \  assign z = w;\nendmodule",
-        "net w" );
+        "net w", 4 );
       ( "a cell onto an input port",
         "module m (input a, input b, output z);\n\
         \  INV_X1 u1 (.A(b), .ZN(a));\n  assign z = a;\nendmodule",
-        "net a" );
+        "net a", 2 );
       ( "an assign onto an input port",
         "module m (input a, input b, output z);\n  assign a = b;\n\
         \  assign z = a;\nendmodule",
-        "net a" );
+        "net a", 2 );
+      ( "unknown cell",
+        "module m (input a, output z);\n\n  FROB_X1 u1 (.A(a), .Z(z));\n\
+         endmodule",
+        "FROB_X1", 3 );
+      ( "input ending early",
+        "module m (input a, output z);\n  INV_X1 u1 (.A(a),\n", "end of input",
+        2 );
     ]
 
 (* the committed example netlists, one line array per file; read on
@@ -443,7 +452,8 @@ let example_lines =
      |> Array.of_list)
 
 (* mutating one line of a committed example netlist may make it
-   unreadable, but only ever as a [Parse_error] *)
+   unreadable, but only ever as a [Parse_error] located on a line of the
+   mutated text *)
 let qcheck_verilog_line_mutations =
   let gen st =
     let files = Lazy.force example_lines in
@@ -468,7 +478,9 @@ let qcheck_verilog_line_mutations =
              (Array.to_list lines))
       in
       match Netlist.Verilog.of_string (String.concat "\n" mutated) with
-      | _ | (exception Netlist.Verilog.Parse_error _) -> true)
+      | _ -> true
+      | exception Netlist.Verilog.Parse_error { line; _ } ->
+          line >= 1 && line <= List.length mutated)
 
 let test_obfuscate_equivalent () =
   for seed = 1 to 10 do

@@ -354,6 +354,31 @@ let test_pipeline_strict_lint_clean_run () =
   check "area/gate deltas unchanged by the static gate" true
     (rep.Pdat.Pipeline.after = r0.Pdat.Pipeline.report.Pdat.Pipeline.after)
 
+(* At the CLI's default Warn gate, an audit Error falls back to the
+   baseline as it does under Strict.  Validation is off, so the audit
+   alone decides. *)
+let test_pipeline_warn_audit_falls_back () =
+  let d = guard_design () in
+  List.iter
+    (fun kind ->
+      let nm = Pdat.Faults.name kind in
+      let r =
+        Pdat.Pipeline.run ~lint:Analysis.Lint.Warn
+          ~inject:{ Pdat.Faults.kind; seed = 7 } ~design:d ~env:(en0_env d) ()
+      in
+      let rep = r.Pdat.Pipeline.report in
+      check (nm ^ " injected") true (rep.Pdat.Pipeline.injected_fault <> None);
+      check (nm ^ " rejected by the audit") true
+        (Analysis.Diag.errors rep.Pdat.Pipeline.audit <> []);
+      (match rep.Pdat.Pipeline.fallback_reason with
+      | Some reason ->
+          check (nm ^ " falls back with an audit: reason") true
+            (String.length reason > 6 && String.sub reason 0 6 = "audit:")
+      | None -> Alcotest.failf "%s: the Warn gate shipped the reduction" nm);
+      check (nm ^ " ships the baseline") true
+        (rep.Pdat.Pipeline.after = rep.Pdat.Pipeline.before))
+    [ Pdat.Faults.Flip_constant; Pdat.Faults.Bogus_invariant; Pdat.Faults.Miswire ]
+
 let test_pipeline_rejects_malformed_input () =
   (* satellite: a cell referencing a nonexistent net surfaces as a
      located Rejected from the always-on well-formedness precheck —
@@ -590,6 +615,8 @@ let () =
             test_validate_divergence_fields_jobs;
           Alcotest.test_case "strict lint gate on a clean run" `Quick
             test_pipeline_strict_lint_clean_run;
+          Alcotest.test_case "warn gate falls back on an audit error" `Quick
+            test_pipeline_warn_audit_falls_back;
           Alcotest.test_case "malformed input rejected with location" `Quick
             test_pipeline_rejects_malformed_input;
           Alcotest.test_case "fallback reports reason" `Quick

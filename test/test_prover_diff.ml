@@ -7,7 +7,9 @@
    ignored [~jobs] forks no worker), and every proved invariant survives
    long constrained simulation.  The matrix runs without [~cex], so
    every kill is exact.  One leg adds [~cex] on strict cones, where the
-   replay from frame 0 keeps every kill exact too. *)
+   replay from frame 0 keeps every kill exact too.  On the same
+   netlists, lint's [Absint] pass must read the fixpoint of the
+   synchronous [Kleene] reference on every net. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -103,9 +105,15 @@ let test_differential () =
       (Printf.sprintf "seed %d: survives simulation" seed)
       true
       (survives_sim d D.net_true par ~cycles:1000);
-    (* lint's dataflow engine: every constant it reports must be
-       confirmed by the oracle *)
-    let consts = Engine.Absint.constants (Engine.Absint.run ~assume:D.net_true d) in
+    (* lint's dataflow engine: its fixpoint must equal the
+       synchronous reference's, net for net, and every constant it
+       reports must be confirmed by the oracle *)
+    (match Kleene.first_mismatch d with
+    | Some (n, got, want) ->
+        Alcotest.failf "seed %d: absint reads net %d as %d, Kleene as %d"
+          seed n got want
+    | None -> ());
+    let consts = Engine.Absint.constants (Engine.Absint.run d) in
     if consts <> [] then begin
       let pc = Oracle.prove ~assume:D.net_true d consts in
       if not (same_set pc consts) then
