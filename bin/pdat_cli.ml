@@ -2,7 +2,7 @@
 
    Subcommands:
      list                      catalog of experiment variants
-     run VARIANT [...]         run the pipeline for catalog variants
+     run ID [...]              run catalog variants or whole figures
      reduce --core C --subset S [--port|--cutpoint] [-o out.v]
                                custom reduction with Verilog export
      export --core C -o out.v  dump a core's baseline netlist
@@ -15,7 +15,11 @@
      perf BASE.json CUR.json [...]
                                BENCH delta table + regression gate;
                                exit 1 on regression, 2 on a bad file
-     table1 | table2           paper tables *)
+     table1 | table2           paper tables
+
+   `pdat table1`, `pdat table2` and `pdat run fig5-isa fig5-mibench
+   fig5-special fig6 fig7` regenerate every table and figure of the
+   paper. *)
 
 open Cmdliner
 
@@ -69,25 +73,43 @@ let list_cmd =
 (* ---------------- run ----------------------------------------------- *)
 
 let run_cmd =
-  let variants =
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"VARIANT")
+  let ids =
+    let doc = "A variant id, or a figure id to run all of its variants." in
+    Arg.(non_empty & pos_all string [] & info [] ~doc ~docv:"ID")
   in
   let run fast cache_dir ids =
+    (* every id is resolved before anything runs, so a typo is refused
+       at once, not after the earlier ids' runs *)
+    let resolve id =
+      if List.mem id Experiments.Variants.figures then `Figure id
+      else
+        match Experiments.Variants.find id with
+        | v -> `Variant v
+        | exception Not_found ->
+            Format.eprintf "unknown variant or figure %s (try `pdat list')@."
+              id;
+            exit 1
+    in
+    let targets = List.map resolve ids in
     let cache = make_cache cache_dir in
     List.iter
-      (fun id ->
-        match Experiments.Variants.find id with
-        | v ->
-            let row = Experiments.Runner.run ~fast ?cache v in
-            Format.printf "%a@." Experiments.Runner.pp_row row
-        | exception Not_found ->
-            Format.eprintf "unknown variant %s (try `pdat list')@." id;
-            exit 1)
-      ids
+      (function
+        | `Figure id ->
+            Format.printf "%a@."
+              (Experiments.Runner.pp_rows
+                 ~title:(Experiments.Variants.title id))
+              (Experiments.Runner.run_figure ~fast ?cache id)
+        | `Variant v ->
+            Format.printf "%a@." Experiments.Runner.pp_row
+              (Experiments.Runner.run ~fast ?cache v))
+      targets
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run catalog variants through the PDAT pipeline")
-    Term.(const run $ fast $ cache_dir_arg $ variants)
+    (Cmd.info "run"
+       ~doc:
+         "Run catalog variants, or every variant of a figure, through the \
+          PDAT pipeline")
+    Term.(const run $ fast $ cache_dir_arg $ ids)
 
 (* ---------------- core / subset parsing ------------------------------- *)
 

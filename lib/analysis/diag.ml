@@ -4,7 +4,6 @@ type location =
   | Net of { net : Netlist.Design.net; name : string }
   | Cell of { cell : int; kind : string; out : Netlist.Design.net; out_name : string }
   | Port of string
-  | Clause of { line : int }
   | Whole_design
 
 type t = {
@@ -47,21 +46,11 @@ let count ds =
       | Info -> (e, w, i + 1))
     (0, 0, 0) ds
 
-let of_dimacs_warning (w : Sat.Dimacs.warning) =
-  {
-    rule = "dimacs-duplicate-literal";
-    severity = Warning;
-    loc = Clause { line = w.Sat.Dimacs.line };
-    message =
-      Printf.sprintf "literal %s: %s" w.Sat.Dimacs.token w.Sat.Dimacs.reason;
-  }
-
 let pp_location ppf = function
   | Net { net; name } -> Fmt.pf ppf "net %d (%s)" net name
   | Cell { cell; kind; out; out_name } ->
       Fmt.pf ppf "cell %d (%s -> net %d %s)" cell kind out out_name
   | Port nm -> Fmt.pf ppf "port %S" nm
-  | Clause { line } -> Fmt.pf ppf "dimacs line %d" line
   | Whole_design -> Fmt.pf ppf "design"
 
 let pp ppf d =

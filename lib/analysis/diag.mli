@@ -15,7 +15,6 @@ type location =
   | Net of { net : Netlist.Design.net; name : string }
   | Cell of { cell : int; kind : string; out : Netlist.Design.net; out_name : string }
   | Port of string  (** A primary input/output (or bus base) by name. *)
-  | Clause of { line : int }  (** A DIMACS source line. *)
   | Whole_design
 
 type t = {
@@ -42,9 +41,6 @@ val errors : t list -> t list
 
 val count : t list -> int * int * int
 (** [(errors, warnings, infos)]. *)
-
-val of_dimacs_warning : Sat.Dimacs.warning -> t
-(** Lifts a DIMACS parser warning into the shared diagnostic type. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -25,9 +25,8 @@ let design_digest d =
 let proved_keys prov =
   Report.Provenance.records prov
   |> List.filter_map (fun (r : Report.Provenance.cand_record) ->
-         match r.Report.Provenance.attribution with
-         | Some a when Engine.Induction.verdict_proves a.Engine.Induction.verdict
-           ->
+         match r.Report.Provenance.verdict with
+         | Some v when Engine.Induction.verdict_proves v ->
              Some (Engine.Candidate.key r.Report.Provenance.cand)
          | _ -> None)
   |> List.sort compare

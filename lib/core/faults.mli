@@ -4,7 +4,7 @@
     a proved invariant flipped before rewiring, a false invariant
     smuggled into the proved set, one rewired pin tied to the wrong
     rail, one resynthesized cell's function perturbed — so tests (and
-    {!Pipeline.self_test}) can assert that the differential validator
+    [pdat reduce --inject]) can assert that the differential validator
     catches every class.  Injectors only pick corruption sites inside
     the output cone; a fault nothing can observe would be a vacuous
     test of the validator.

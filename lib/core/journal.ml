@@ -20,23 +20,7 @@ let path t = t.path
 
 (* ---------------- flat JSON of the restricted shape ----------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ escape s ^ "\""
+let jstr = Obs.json_string
 let jlist items = "[" ^ String.concat "," (List.map jstr items) ^ "]"
 
 (* Parser for exactly the objects we write: string keys mapping to a

@@ -87,14 +87,8 @@ let dump_counterexamples ~model prov dir =
           match r.Report.Provenance.refine_kill with
           | Some { Engine.Rsim.k_cex = Some c; _ } -> Some c
           | Some _ | None -> (
-              match r.Report.Provenance.attribution with
-              | Some
-                  {
-                    Engine.Induction.verdict =
-                      Engine.Induction.V_refuted { cex = Some c; _ };
-                    _;
-                  } ->
-                  Some c
+              match r.Report.Provenance.verdict with
+              | Some (Engine.Induction.V_refuted { cex = Some c; _ }) -> Some c
               | _ -> None)
         in
         match cex with
@@ -343,17 +337,10 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
                 List.iter
                   (fun c ->
                     Hashtbl.replace tbl c
-                      {
-                        Engine.Induction.verdict =
-                          (if Hashtbl.mem ptbl c then
-                             Engine.Induction.V_proved
-                               {
-                                 k =
-                                   max 1 induction_options.Engine.Induction.k;
-                               }
-                           else Engine.Induction.V_dropped "resumed");
-                        cache_hit = false;
-                      })
+                      (if Hashtbl.mem ptbl c then
+                         Engine.Induction.V_proved
+                           { k = max 1 induction_options.Engine.Induction.k }
+                       else Engine.Induction.V_dropped "resumed"))
                   candidates);
             ( proved,
               {
@@ -370,7 +357,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
   journal_stage "prove" (List.map Engine.Candidate.key proved);
   Option.iter Engine.Proof_cache.flush cache;
   (match (prov, attributions) with
-  | Some p, Some tbl -> Report.Provenance.set_attributions p tbl
+  | Some p, Some tbl -> Report.Provenance.set_verdicts p tbl
   | _ -> ());
   (match (prov, dump_cex) with
   | Some p, Some dir ->
@@ -507,48 +494,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
         resume = resume_info;
       };
   }
-
-type self_test_entry = {
-  fault : Faults.kind;
-  injected : string option;
-  caught : bool;
-  caught_statically : bool;
-  cex_files : string list;
-}
-
-let self_test ?rsim ?refine ?induction ?cache ?validate_config
-    ?validate_stimulus ?(lint = Analysis.Lint.Strict) ?(seed = 7) ?dump_cex
-    ~design ~env () =
-  (match dump_cex with
-  | Some d -> (
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | None -> ());
-  List.map
-    (fun kind ->
-      let prov = Report.Provenance.create () in
-      let sub =
-        Option.map (fun d -> Filename.concat d (Faults.name kind)) dump_cex
-      in
-      let r =
-        run ?rsim ?refine ?induction ?cache ~validate:true
-          ?validate_config ?validate_stimulus ~lint ~provenance:prov
-          ?dump_cex:sub ~inject:{ Faults.kind; seed } ~design ~env ()
-      in
-      {
-        fault = kind;
-        injected = r.report.injected_fault;
-        caught =
-          r.report.injected_fault <> None
-          && (not r.report.validated)
-          && r.report.fallback_reason <> None;
-        caught_statically = Analysis.Diag.errors r.report.audit <> [];
-        cex_files =
-          List.filter_map
-            (fun (cr : Report.Provenance.cand_record) ->
-              cr.Report.Provenance.cex_file)
-            (Report.Provenance.records prov);
-      })
-    Faults.all
 
 let area_delta_pct r =
   Netlist.Stats.delta_pct ~baseline:r.before.Netlist.Stats.area

@@ -28,7 +28,7 @@
       mining and an out-of-time prover only drop candidates, which is
       conservative;
     - {b fault injection} ([~inject]): corrupts one stage hand-off so
-      the validator's catch rate can be tested ({!self_test});
+      the validator's catch rate can be tested;
     - {b static analysis} ([~lint]): the input netlist is linted
       ({!Analysis.Lint}) and the rewiring stage emits a certificate
       that is audited against the genuinely proved invariant set
@@ -198,44 +198,6 @@ val run :
 
     @raise Rejected on a malformed input netlist (always), or on any
     Error-severity input lint finding when [lint = Strict]. *)
-
-type self_test_entry = {
-  fault : Faults.kind;
-  injected : string option;  (** [None] if no eligible corruption site *)
-  caught : bool;             (** validation failed and fell back *)
-  caught_statically : bool;
-      (** the certificate audit rejected the run — the fault was caught
-          with zero simulation cycles, before the validator ran *)
-  cex_files : string list;
-      (** counterexample waveforms dumped for this run's refuted
-          candidates; [[]] unless [?dump_cex] was given *)
-}
-
-val self_test :
-  ?rsim:Engine.Rsim.config ->
-  ?refine:Engine.Rsim.config ->
-  ?induction:Engine.Induction.options ->
-  ?cache:Engine.Proof_cache.t ->
-  ?validate_config:Validate.config ->
-  ?validate_stimulus:Engine.Stimulus.t ->
-  ?lint:Analysis.Lint.gate ->
-  ?seed:int ->
-  ?dump_cex:string ->
-  design:Netlist.Design.t ->
-  env:Environment.t ->
-  unit ->
-  self_test_entry list
-(** Runs the full pipeline once per fault class with validation on and
-    the static gate at [lint] (default [Strict]), reporting whether
-    each injected fault was caught — and whether the certificate audit
-    caught it statically, which it must for every pre-resynthesis
-    fault class ([Flip_constant], [Bogus_invariant], [Miswire]).  An
-    entry with [injected = None] means the class had no eligible site
-    in this design (e.g. nothing was proved constant).  [dump_cex]
-    gives each fault run its own subdirectory (named after the fault)
-    of refuted-candidate waveforms, listed in the entry's [cex_files]
-    — so a failing self-test ships with the waveform that explains
-    which candidates the engine itself rejected. *)
 
 val pp_report : Format.formatter -> report -> unit
 

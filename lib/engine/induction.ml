@@ -555,14 +555,10 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
       top_costs = Obs.Attr.top (Obs.Attr.delta ~since:attr0 (Obs.Attr.export ()));
     } )
 
-type attribution = { verdict : verdict; cache_hit : bool }
-
 let prove_parallel ?(options = default_options) ?cex ?jobs:_ ?cache
     ?attributions ?sieve:_ ~assume d candidate_list =
-  let attribute cand verdict cache_hit =
-    match attributions with
-    | None -> ()
-    | Some tbl -> Hashtbl.replace tbl cand { verdict; cache_hit }
+  let attribute cand verdict =
+    Option.iter (fun tbl -> Hashtbl.replace tbl cand verdict) attributions
   in
   let sc =
     Option.map (fun c -> (c, Proof_cache.scope c ~design:d ~assume)) cache
@@ -578,11 +574,11 @@ let prove_parallel ?(options = default_options) ?cex ?jobs:_ ?cache
           match Proof_cache.find c scope cand with
           | Some Proof_cache.Proved ->
               incr hits;
-              attribute cand (V_cached Proof_cache.Proved) true;
+              attribute cand (V_cached Proof_cache.Proved);
               cached_proved := cand :: !cached_proved
           | Some Proof_cache.Disproved ->
               incr hits;
-              attribute cand (V_cached Proof_cache.Disproved) true
+              attribute cand (V_cached Proof_cache.Disproved)
           | None ->
               incr misses;
               fresh := cand :: !fresh))
@@ -591,12 +587,7 @@ let prove_parallel ?(options = default_options) ?cex ?jobs:_ ?cache
   let fresh = List.rev !fresh in
   let proved, st =
     if fresh = [] then ([], blank_stats)
-    else begin
-      let fates = Option.map (fun _ -> Hashtbl.create 64) attributions in
-      let proved, st = prove ~options ?cex ~known ?fates ~assume d fresh in
-      Option.iter (Hashtbl.iter (fun cand v -> attribute cand v false)) fates;
-      (proved, st)
-    end
+    else prove ~options ?cex ~known ?fates:attributions ~assume d fresh
   in
   let proved_tbl = Hashtbl.create 64 in
   List.iter (fun cand -> Hashtbl.replace proved_tbl cand ()) (known @ proved);

@@ -93,8 +93,6 @@ val verdict_proves : verdict -> bool
 (** Whether the verdict counts as a proof the rewiring stage may cite:
     [V_proved] and [V_cached Proved]. *)
 
-type attribution = { verdict : verdict; cache_hit : bool }
-
 val prove :
   ?options:options ->
   ?cex:Stimulus.t * int ->
@@ -138,7 +136,7 @@ val prove_parallel :
   ?cex:Stimulus.t * int ->
   ?jobs:int ->
   ?cache:Proof_cache.t ->
-  ?attributions:(Candidate.t, attribution) Hashtbl.t ->
+  ?attributions:(Candidate.t, verdict) Hashtbl.t ->
   ?sieve:bool ->
   assume:Netlist.Design.net ->
   Netlist.Design.t ->
@@ -153,7 +151,7 @@ val prove_parallel :
     cleanly (no budget/deadline exhaustion); the caller is responsible
     for {!Proof_cache.flush}.
 
-    [attributions], when given, receives one {!attribution} per input
+    [attributions], when given, receives one {!verdict} per input
     candidate: cache hits as [V_cached], fresh candidates with their
     {!prove} fate.
 

@@ -64,80 +64,40 @@ let induction_options ?(fast = false) (v : Variants.t) =
         total_conflict_budget = (if fast then 1_000_000 else 4_000_000);
         time_budget_s = infinity }
 
-(* cached per-design baselines: synthesizing RIDECORE repeatedly would
-   dominate the run time *)
-let baselines : (string, Netlist.Stats.t) Hashtbl.t = Hashtbl.create 8
-
-let baseline_stats design =
-  let key =
-    Printf.sprintf "%s-%d" (Netlist.Design.name design)
-      (Netlist.Design.num_cells design)
-  in
-  match Hashtbl.find_opt baselines key with
-  | Some st -> st
-  | None ->
-      let _, st = Pdat.Pipeline.baseline design in
-      Hashtbl.replace baselines key st;
-      st
-
 (* one proof cache shared by every variant of a session: Ibex variants
    reuse each other's verdicts whenever their (model, assume) scopes
-   coincide, and PDAT_CACHE_DIR makes the verdicts survive the process *)
-let shared_cache =
-  lazy
-    (Engine.Proof_cache.create ?dir:(Sys.getenv_opt "PDAT_CACHE_DIR") ())
+   coincide *)
+let shared_cache = lazy (Engine.Proof_cache.create ())
 
-let finish_env (v : Variants.t) design env =
-  (* the Aligned variant additionally pins the data-address low bits *)
-  if v.Variants.id = "ibex-aligned" then
-    Pdat.Environment.constrain_low_bits env
-      (Netlist.Design.output_bus design "data_addr")
-      ~bits:2
-  else env
-
-let run_full ?(fast = false) ?cache (v : Variants.t) =
+let run ?(fast = false) ?cache (v : Variants.t) =
   let cache =
-    match cache with Some c -> Some c | None -> Some (Lazy.force shared_cache)
+    match cache with Some c -> c | None -> Lazy.force shared_cache
   in
   let t0 = Obs.Clock.now_s () in
   let design = design_of ~fast v in
-  let base = baseline_stats design in
+  let row ~(before : Netlist.Stats.t) ~(after : Netlist.Stats.t) ~proved =
+    {
+      variant = v;
+      area = after.Netlist.Stats.area;
+      gates = Netlist.Stats.gate_count after;
+      baseline_area = before.Netlist.Stats.area;
+      baseline_gates = Netlist.Stats.gate_count before;
+      proved;
+      seconds = Obs.Clock.now_s () -. t0;
+    }
+  in
   match v.Variants.make_env design ~cut_nets:(cut_nets_of v) with
   | None ->
-      ( {
-          variant = v;
-          area = base.Netlist.Stats.area;
-          gates = Netlist.Stats.gate_count base;
-          baseline_area = base.Netlist.Stats.area;
-          baseline_gates = Netlist.Stats.gate_count base;
-          proved = 0;
-          seconds = Obs.Clock.now_s () -. t0;
-        },
-        None )
+      let _, base = Pdat.Pipeline.baseline design in
+      row ~before:base ~after:base ~proved:0
   | Some env ->
-      let env = finish_env v design env in
-      let result =
-        Pdat.Pipeline.run ~rsim:(rsim_config ~fast v)
-          ~induction:(induction_options ~fast v) ?cache ~design ~env ()
+      let r =
+        (Pdat.Pipeline.run ~rsim:(rsim_config ~fast v)
+           ~induction:(induction_options ~fast v) ~cache ~design ~env ())
+          .Pdat.Pipeline.report
       in
-      let r = result.Pdat.Pipeline.report in
-      ( {
-          variant = v;
-          area = r.Pdat.Pipeline.after.Netlist.Stats.area;
-          gates = Netlist.Stats.gate_count r.Pdat.Pipeline.after;
-          baseline_area = base.Netlist.Stats.area;
-          baseline_gates = Netlist.Stats.gate_count base;
-          proved = r.Pdat.Pipeline.proved;
-          seconds = Obs.Clock.now_s () -. t0;
-        },
-        Some result )
-
-let run ?fast ?cache v = fst (run_full ?fast ?cache v)
-
-let reduced_design ?fast v =
-  match run_full ?fast v with
-  | _, Some result -> result.Pdat.Pipeline.reduced
-  | _, None -> fst (Pdat.Pipeline.baseline (design_of ?fast v))
+      row ~before:r.Pdat.Pipeline.before ~after:r.Pdat.Pipeline.after
+        ~proved:r.Pdat.Pipeline.proved
 
 let run_figure ?fast ?cache figure =
   List.map (run ?fast ?cache) (Variants.by_figure figure)

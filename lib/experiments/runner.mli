@@ -4,8 +4,8 @@
     Core netlists are built once and shared across the variants that
     use them; the Cortex-M0 is obfuscated before it enters any flow,
     matching the paper's firm-IP setting.  [fast] shrinks the RIDECORE
-    configuration and the simulation budget — used by the test suite;
-    benches run full size. *)
+    configuration and the simulation budget ([pdat run --fast] and the
+    test suite use it); without it RIDECORE runs at full size. *)
 
 type row = {
   variant : Variants.t;
@@ -23,26 +23,15 @@ val area_delta : row -> float
 val gate_delta : row -> float
 
 val run : ?fast:bool -> ?cache:Engine.Proof_cache.t -> Variants.t -> row
-
-val run_full :
-  ?fast:bool ->
-  ?cache:Engine.Proof_cache.t ->
-  Variants.t ->
-  row * Pdat.Pipeline.result option
-(** Like {!run} but also returns the pipeline result (with its full
-    report — per-stage timings, induction stats) when the variant
-    actually ran the pipeline ([None] for baseline-only variants).
-    Unless [cache] is given, all variants share one session-wide proof
-    cache; set the [PDAT_CACHE_DIR] environment variable to make it
-    disk-backed so verdicts persist across processes. *)
+(** A pipeline row's baseline is the [before] of its
+    {!Pdat.Pipeline.report}; a "Full" row only synthesizes the
+    design.  Unless [cache] is given, all variants of the process share
+    one in-memory proof cache. *)
 
 val run_figure :
   ?fast:bool -> ?cache:Engine.Proof_cache.t -> string -> row list
+(** {!run} over {!Variants.by_figure}, in catalog order. *)
 
 val pp_row : Format.formatter -> row -> unit
 
 val pp_rows : title:string -> Format.formatter -> row list -> unit
-
-val reduced_design : ?fast:bool -> Variants.t -> Netlist.Design.t
-(** The transformed netlist itself (for equivalence checks and
-    export). *)

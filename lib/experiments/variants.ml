@@ -1,38 +1,32 @@
 type core_kind = Ibex | Cm0 | Ridecore
 
-type constraint_style = Port | Cut
-
 type t = {
   id : string;
   figure : string;
   label : string;
   core : core_kind;
-  style : constraint_style;
   make_env :
     Netlist.Design.t -> cut_nets:Netlist.Design.net array option ->
     Pdat.Environment.t option;
 }
 
 let baseline id figure label core =
-  { id; figure; label; core; style = Port; make_env = (fun _ ~cut_nets:_ -> None) }
+  { id; figure; label; core; make_env = (fun _ ~cut_nets:_ -> None) }
 
 (* Ibex variants use cutpoint-based constraints (paper section VI). *)
-let ibex id figure label ?(rv32e = false) ?(style = Cut) ?(post = fun e -> e)
-    subset =
+let ibex id figure label ?(rv32e = false) ?(post = fun _ e -> e) subset =
   {
     id;
     figure;
     label;
     core = Ibex;
-    style;
     make_env =
       (fun d ~cut_nets ->
-        Some
-          (post
-             (match style, cut_nets with
-             | Cut, Some nets -> Pdat.Environment.riscv_cutpoint ~rv32e d ~nets subset
-             | Cut, None -> invalid_arg "ibex variant needs cutpoint nets"
-             | Port, _ -> Pdat.Environment.riscv_port ~rv32e d ~port:"instr_rdata" subset)));
+        match cut_nets with
+        | Some nets ->
+            Some
+              (post d (Pdat.Environment.riscv_cutpoint ~rv32e d ~nets subset))
+        | None -> invalid_arg "ibex variant needs cutpoint nets");
   }
 
 let cm0 id label subset =
@@ -41,7 +35,6 @@ let cm0 id label subset =
     figure = "fig6";
     label;
     core = Cm0;
-    style = Port;
     make_env =
       (fun d ~cut_nets:_ ->
         Some (Pdat.Environment.arm_port d ~port:"instr_rdata" subset));
@@ -53,15 +46,16 @@ let ridecore id label ?(rv32e = false) subset =
     figure = "fig7";
     label;
     core = Ridecore;
-    style = Port;
     make_env =
       (fun d ~cut_nets:_ ->
         Some (Pdat.Environment.riscv_port ~rv32e d ~port:"instr_rdata" subset));
   }
 
-let aligned_post env_of_design =
-  (* the Aligned variant additionally pins the data-address low bits *)
-  env_of_design
+(* the Aligned variant additionally pins the data-address low bits *)
+let aligned d env =
+  Pdat.Environment.constrain_low_bits env
+    (Netlist.Design.output_bus d "data_addr")
+    ~bits:2
 
 let mibench g = Isa.Workloads.riscv g
 
@@ -90,7 +84,8 @@ let all =
       Isa.Subset.rv32i_safety_critical;
     ibex "ibex-no-parallelism" "fig5-special" "No Parallelism"
       Isa.Subset.rv32i_no_parallelism;
-    ibex "ibex-aligned" "fig5-special" "Aligned" Isa.Subset.rv32i_aligned;
+    ibex "ibex-aligned" "fig5-special" "Aligned" ~post:aligned
+      Isa.Subset.rv32i_aligned;
     ibex "ibex-risc16" "fig5-special" "RiSC 16" Isa.Subset.risc16;
     (* ------------- Figure 6: obfuscated Cortex-M0 --------------------- *)
     baseline "cm0-full" "fig6" "CM0 Full" Cm0;
@@ -111,8 +106,19 @@ let all =
     ridecore "ridecore-mibench-all" "MiBench All" Isa.Workloads.riscv_all;
   ]
 
-let _ = aligned_post
-
 let by_figure f = List.filter (fun v -> v.figure = f) all
 let find id = List.find (fun v -> v.id = id) all
-let figures = [ "fig5-isa"; "fig5-mibench"; "fig5-special"; "fig6"; "fig7" ]
+
+let titles =
+  [
+    ("fig5-isa", "Figure 5: Ibex variants (cutpoint-based PDAT) / fig5-isa");
+    ("fig5-mibench",
+     "Figure 5: Ibex variants (cutpoint-based PDAT) / fig5-mibench");
+    ("fig5-special",
+     "Figure 5: Ibex variants (cutpoint-based PDAT) / fig5-special");
+    ("fig6", "Figure 6: obfuscated Cortex-M0 (port-based PDAT) / fig6");
+    ("fig7", "Figure 7: RIDECORE (port-based PDAT) / fig7");
+  ]
+
+let figures = List.map fst titles
+let title f = List.assoc f titles

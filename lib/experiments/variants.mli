@@ -2,12 +2,10 @@
     Figures 5, 6 and 7, expressed as (core, environment) pairs ready to
     feed {!Pdat.Pipeline.run}.
 
-    Variant ids are stable strings used by the CLI, the benches and
-    EXPERIMENTS.md. *)
+    Variant ids and figure ids are stable strings used by the CLI
+    ([pdat run] accepts both) and EXPERIMENTS.md. *)
 
 type core_kind = Ibex | Cm0 | Ridecore
-
-type constraint_style = Port | Cut
 
 type t = {
   id : string;
@@ -15,7 +13,6 @@ type t = {
                              / "fig6" / "fig7" *)
   label : string;        (** as printed in the paper's figure *)
   core : core_kind;
-  style : constraint_style;
   make_env : Netlist.Design.t -> cut_nets:Netlist.Design.net array option ->
              Pdat.Environment.t option;
       (** [None] marks the no-PDAT baseline ("Full") variant. *)
@@ -27,3 +24,9 @@ val find : string -> t
 (** @raise Not_found *)
 
 val figures : string list
+(** Figure ids in paper order; each figure's variants start with its
+    "Full" baseline. *)
+
+val title : string -> string
+(** The heading a figure's rows print under.
+    @raise Not_found on an id not in {!figures} *)

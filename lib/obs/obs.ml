@@ -331,8 +331,9 @@ let counter_events () =
 
 (* ---------------- JSON emission ------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let json_string s =
+  let b = Buffer.create (String.length s + 10) in
+  Buffer.add_char b '"';
   String.iter
     (function
       | '"' -> Buffer.add_string b "\\\""
@@ -342,6 +343,7 @@ let escape s =
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"';
   Buffer.contents b
 
 let float_json f =
@@ -350,7 +352,7 @@ let float_json f =
 let arg_json = function
   | Int i -> string_of_int i
   | Float f -> float_json f
-  | Str s -> "\"" ^ escape s ^ "\""
+  | Str s -> json_string s
   | Bool b -> string_of_bool b
 
 let args_json = function
@@ -358,9 +360,7 @@ let args_json = function
   | args ->
       Printf.sprintf ",\"args\":{%s}"
         (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_json v))
-              args))
+           (List.map (fun (k, v) -> json_string k ^ ":" ^ arg_json v) args))
 
 let event_json e =
   let ph, extra =
@@ -369,8 +369,9 @@ let event_json e =
     | Counter -> ("C", "")
   in
   Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f%s,\"pid\":%d,\"tid\":0%s}"
-    (escape e.name) (escape e.cat) ph e.ts_us extra e.pid (args_json e.args)
+    "{\"name\":%s,\"cat\":%s,\"ph\":\"%s\",\"ts\":%.3f%s,\"pid\":%d,\"tid\":0%s}"
+    (json_string e.name) (json_string e.cat) ph e.ts_us extra e.pid
+    (args_json e.args)
 
 type sink = Chrome of string
 

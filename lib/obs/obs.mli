@@ -172,6 +172,12 @@ val counter_events : unit -> event list
 
 (** {1 Sink} *)
 
+val json_string : string -> string
+(** [s] as a double-quoted JSON string.  A quote, a backslash or a
+    newline is written as its two-character backslash escape, every
+    other control character as [\u00XX].  The one string writer behind
+    the trace, the run reports and the run journal. *)
+
 type sink = Chrome of string
 
 val write_file_atomic : string -> string -> unit

@@ -199,7 +199,7 @@ let load path =
           (Perf_error
              (path
             ^ ": missing schema_version — regenerate this BENCH file with a \
-               current `bench <target> --json` run"))
+               current run of its benchmark"))
   in
   let target =
     match List.assoc_opt "target" fields with Some (Str t) -> t | _ -> ""

@@ -7,7 +7,7 @@ type cand_record = {
   cand : Cand.t;
   mutable mined_round : int option;
   mutable refine_kill : Engine.Rsim.kill option;
-  mutable attribution : I.attribution option;
+  mutable verdict : I.verdict option;
   mutable cex_file : string option;
 }
 
@@ -54,7 +54,7 @@ let register t cands =
             cand;
             mined_round = None;
             refine_kill = None;
-            attribution = None;
+            verdict = None;
             cex_file = None;
           }
         in
@@ -83,11 +83,11 @@ let set_refine_kills t l =
       | None -> ())
     l
 
-let set_attributions t tbl =
+let set_verdicts t tbl =
   Hashtbl.iter
-    (fun cand a ->
+    (fun cand v ->
       match find t cand with
-      | Some r -> r.attribution <- Some a
+      | Some r -> r.verdict <- Some v
       | None -> ())
     tbl
 
@@ -192,7 +192,7 @@ let designs t = t.snap
 let proved_ids t =
   List.filter_map
     (fun r ->
-      match r.attribution with
-      | Some a when I.verdict_proves a.I.verdict -> Some r.id
+      match r.verdict with
+      | Some v when I.verdict_proves v -> Some r.id
       | _ -> None)
     (records t)

@@ -5,8 +5,8 @@
     accumulates its history as the pipeline advances: the rsim round
     that mined it, the refinement kill that discarded it (with the
     refuting input trace), the prover's verdict (proved at depth k /
-    refuted with a counterexample / dropped, with its cache-hit
-    flag), and the waveform file its counterexample was
+    refuted with a counterexample / dropped / settled by the proof
+    cache), and the waveform file its counterexample was
     dumped to.  Certificate edits link back to the proved invariants
     that justify them, and every original cell made dead by rewiring
     is attributed to the edit whose cone it sits in.
@@ -20,7 +20,8 @@ type cand_record = {
   cand : Engine.Candidate.t;
   mutable mined_round : int option;  (** 1-based rsim run, if attributed *)
   mutable refine_kill : Engine.Rsim.kill option;
-  mutable attribution : Engine.Induction.attribution option;
+  mutable verdict : Engine.Induction.verdict option;
+      (** the prover's fate; [V_cached] marks a proof-cache hit *)
   mutable cex_file : string option;  (** dumped waveform, if any *)
 }
 
@@ -56,8 +57,8 @@ val id_of : t -> Engine.Candidate.t -> int option
 val set_mined_rounds : t -> (Engine.Candidate.t * int) list -> unit
 val set_refine_kills : t -> (Engine.Candidate.t * Engine.Rsim.kill) list -> unit
 
-val set_attributions :
-  t -> (Engine.Candidate.t, Engine.Induction.attribution) Hashtbl.t -> unit
+val set_verdicts :
+  t -> (Engine.Candidate.t, Engine.Induction.verdict) Hashtbl.t -> unit
 
 val set_cex_file : t -> Engine.Candidate.t -> string -> unit
 

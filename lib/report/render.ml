@@ -5,20 +5,7 @@ module P = Provenance
 
 (* ---------------- JSON plumbing ------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ escape s ^ "\""
+let jstr = Obs.json_string
 
 (* Fixed-precision floats keep the JSON byte-stable: every area in the
    repo is a finite sum of Liberty constants, so two decimals never
@@ -46,18 +33,18 @@ type resume_summary = {
 
 type status =
   | Refine_killed of Engine.Rsim.kill
-  | Prover of I.attribution
+  | Prover of I.verdict
   | Unresolved
 
 let status_of (r : P.cand_record) =
-  match (r.refine_kill, r.attribution) with
+  match (r.refine_kill, r.verdict) with
   | Some k, _ -> Refine_killed k
-  | None, Some a -> Prover a
+  | None, Some v -> Prover v
   | None, None -> Unresolved
 
 let status_label = function
   | Refine_killed _ -> "refine-killed"
-  | Prover a -> I.verdict_label a.I.verdict
+  | Prover v -> I.verdict_label v
   | Unresolved -> "unresolved"
 
 type summary = {
@@ -103,22 +90,20 @@ let summarize records =
         (match status_of r with
         | Refine_killed _ -> { t with s_refine_killed = t.s_refine_killed + 1 }
         | Unresolved -> { t with s_unresolved = t.s_unresolved + 1 }
-        | Prover a -> (
-            match a.I.verdict with
-            | I.V_proved _ -> { t with s_proved = t.s_proved + 1 }
-            | I.V_refuted _ -> { t with s_refuted = t.s_refuted + 1 }
-            | I.V_sim_killed -> { t with s_sim_killed = t.s_sim_killed + 1 }
-            | I.V_not_inductive ->
-                { t with s_not_inductive = t.s_not_inductive + 1 }
-            | I.V_dropped _ -> { t with s_dropped = t.s_dropped + 1 }
-            | I.V_cached Engine.Proof_cache.Proved ->
-                {
-                  t with
-                  s_proved = t.s_proved + 1;
-                  s_cached_proved = t.s_cached_proved + 1;
-                }
-            | I.V_cached Engine.Proof_cache.Disproved ->
-                { t with s_cached_disproved = t.s_cached_disproved + 1 })))
+        | Prover (I.V_proved _) -> { t with s_proved = t.s_proved + 1 }
+        | Prover (I.V_refuted _) -> { t with s_refuted = t.s_refuted + 1 }
+        | Prover I.V_sim_killed -> { t with s_sim_killed = t.s_sim_killed + 1 }
+        | Prover I.V_not_inductive ->
+            { t with s_not_inductive = t.s_not_inductive + 1 }
+        | Prover (I.V_dropped _) -> { t with s_dropped = t.s_dropped + 1 }
+        | Prover (I.V_cached Engine.Proof_cache.Proved) ->
+            {
+              t with
+              s_proved = t.s_proved + 1;
+              s_cached_proved = t.s_cached_proved + 1;
+            }
+        | Prover (I.V_cached Engine.Proof_cache.Disproved) ->
+            { t with s_cached_disproved = t.s_cached_disproved + 1 }))
     records;
   !s
 
@@ -209,10 +194,11 @@ let cand_json prov (r : P.cand_record) =
             ("cycle", string_of_int k.Engine.Rsim.k_cycle);
             ("lane", string_of_int k.Engine.Rsim.k_lane);
           ]
-      | Prover a -> (
-          [ ("cache_hit", string_of_bool a.I.cache_hit) ]
+      | Prover v -> (
+          let cache_hit = match v with I.V_cached _ -> true | _ -> false in
+          [ ("cache_hit", string_of_bool cache_hit) ]
           @
-          match a.I.verdict with
+          match v with
           | I.V_proved { k } -> [ ("k", string_of_int k) ]
           | I.V_refuted { frame; cex } ->
               [ ("frame", string_of_int frame) ]
@@ -482,7 +468,7 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
           | Refine_killed k ->
               Printf.sprintf "simulation (run %d, cycle %d, lane %d)"
                 k.Engine.Rsim.k_run k.Engine.Rsim.k_cycle k.Engine.Rsim.k_lane
-          | Prover { I.verdict = I.V_refuted { frame; _ }; _ } ->
+          | Prover (I.V_refuted { frame; _ }) ->
               Printf.sprintf "induction base case (frame %d)" frame
           | st -> status_label st
         in

@@ -53,18 +53,6 @@ let test_diag_rendering () =
   check "count splits by severity" true (e = 1 && wn = 1 && i = 1);
   check_int "errors subset" 1 (List.length (Diag.errors ds))
 
-let test_diag_of_dimacs_warning () =
-  let d =
-    Diag.of_dimacs_warning
-      { Sat.Dimacs.line = 4; token = "3"; reason = "duplicate literal" }
-  in
-  check "rule" true (d.Diag.rule = "dimacs-duplicate-literal");
-  check "severity" true (d.Diag.severity = Diag.Warning);
-  (match d.Diag.loc with
-  | Diag.Clause { line } -> check_int "line" 4 line
-  | _ -> Alcotest.fail "expected a clause location");
-  check "message carries the token" true (contains ~sub:"3" d.Diag.message)
-
 (* --- lint: clean and degenerate designs ------------------------------- *)
 
 (* request/acknowledge latch, same shape as examples/netlists/handshake.v *)
@@ -645,8 +633,6 @@ let () =
       ( "diag",
         [
           Alcotest.test_case "rendering" `Quick test_diag_rendering;
-          Alcotest.test_case "dimacs warning lift" `Quick
-            test_diag_of_dimacs_warning;
         ] );
       ( "lint",
         [

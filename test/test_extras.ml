@@ -145,35 +145,6 @@ let test_equiv_pdat_reduction () =
   | Engine.Equiv.Counterexample { frame; output } ->
       Alcotest.failf "reduced Ibex differs at frame %d on %s" frame output
 
-(* --- disassembler -------------------------------------------------------- *)
-
-let test_disasm () =
-  check_str "add" "add x10, x10, x11" (Isa.Disasm.instr32 0x00b50533);
-  check_str "addi" "addi x5, x3, -12" (Isa.Disasm.instr32 0xff418293);
-  check_str "lw" "lw x1, 8(x2)" (Isa.Disasm.instr32 0x00812083);
-  check_str "sw" "sw x1, 12(x2)" (Isa.Disasm.instr32 0x00112623);
-  check_str "lui" "lui x1, 0x12345" (Isa.Disasm.instr32 0x123450b7);
-  check_str "ecall" "ecall" (Isa.Disasm.instr32 0x00000073);
-  check_str "garbage" ".word 0xffffffff" (Isa.Disasm.instr32 0xFFFFFFFF);
-  check_str "c.mv" "c.mv x1, x13" (Isa.Disasm.instr16 0x80b6)
-
-let test_disasm_roundtrip_program () =
-  let p = Isa.Asm.create () in
-  Isa.Asm.li p ~rd:1 1234;
-  Isa.Asm.c_li p ~rd:2 7;
-  Isa.Asm.add p ~rd:3 ~rs1:1 ~rs2:2;
-  Isa.Asm.label p "x";
-  Isa.Asm.j p "x";
-  let rows = Isa.Disasm.program (Isa.Asm.assemble p) in
-  check "all rows decode" true
-    (List.for_all
-       (fun (_, s) ->
-         not
-           (String.length s >= 5
-            && (String.sub s 0 5 = ".word" || String.sub s 0 5 = ".half")))
-       rows);
-  check_int "first row at 0" 0 (fst (List.hd rows))
-
 (* --- vcd ------------------------------------------------------------------ *)
 
 let test_vcd () =
@@ -231,11 +202,6 @@ let () =
           Alcotest.test_case "detects difference" `Quick test_equiv_detects_difference;
           Alcotest.test_case "under assumption" `Quick test_equiv_under_assumption;
           Alcotest.test_case "pdat reduction (formal)" `Slow test_equiv_pdat_reduction;
-        ] );
-      ( "disasm",
-        [
-          Alcotest.test_case "instructions" `Quick test_disasm;
-          Alcotest.test_case "program roundtrip" `Quick test_disasm_roundtrip_program;
         ] );
       ("vcd", [ Alcotest.test_case "trace file" `Quick test_vcd ]);
     ]

@@ -306,26 +306,31 @@ let test_pipeline_validates_unfaulted () =
 
 let test_pipeline_fault_matrix () =
   let d = guard_design () in
-  let entries = Pdat.Pipeline.self_test ~design:d ~env:(en0_env d) () in
-  check_int "every fault class exercised" (List.length Pdat.Faults.all)
-    (List.length entries);
   List.iter
-    (fun e ->
-      let nm = Pdat.Faults.name e.Pdat.Pipeline.fault in
+    (fun kind ->
+      let r =
+        (Pdat.Pipeline.run ~validate:true ~lint:Analysis.Lint.Strict
+           ~inject:{ Pdat.Faults.kind; seed = 7 } ~design:d ~env:(en0_env d) ())
+          .Pdat.Pipeline.report
+      in
+      let nm = Pdat.Faults.name kind in
       check (nm ^ " found an injection site") true
-        (e.Pdat.Pipeline.injected <> None);
-      check (nm ^ " caught by the validator") true e.Pdat.Pipeline.caught;
+        (r.Pdat.Pipeline.injected_fault <> None);
+      check (nm ^ " caught by the validator") true
+        ((not r.Pdat.Pipeline.validated)
+        && r.Pdat.Pipeline.fallback_reason <> None);
       (* every pre-resynthesis fault must be caught by the certificate
          audit alone — zero simulation cycles; Perturb_cell corrupts
          after the certified stage, so only the validator can see it *)
-      let expect_static = e.Pdat.Pipeline.fault <> Pdat.Faults.Perturb_cell in
+      let expect_static = kind <> Pdat.Faults.Perturb_cell in
       check
         (nm
         ^
         if expect_static then " caught statically by the audit"
         else " is differential-only")
-        expect_static e.Pdat.Pipeline.caught_statically)
-    entries
+        expect_static
+        (Analysis.Diag.errors r.Pdat.Pipeline.audit <> []))
+    Pdat.Faults.all
 
 let test_pipeline_strict_lint_clean_run () =
   (* a clean design under the Strict gate: linted, certified, audited —
@@ -575,6 +580,66 @@ let test_catalog () =
       check "has cells" true (pc.Pdat.Property_library.applies_to <> []))
     Pdat.Property_library.catalog
 
+(* --- the experiment catalog and its runner ------------------------------ *)
+
+module V = Experiments.Variants
+
+let test_catalog_ids () =
+  let ids = List.map (fun v -> v.V.id) V.all in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+  check "variant ids unique" true (distinct ids);
+  check "figure ids unique" true (distinct V.figures);
+  check "no id names both a variant and a figure" true
+    (List.for_all (fun f -> not (List.mem f ids)) V.figures);
+  check "every variant sits in a listed figure" true
+    (List.for_all (fun v -> List.mem v.V.figure V.figures) V.all)
+
+let test_catalog_figures_start_with_full () =
+  (* Figure 5's three panels (fig5-isa, fig5-mibench, fig5-special)
+     share the Full row that opens the first one.  A baseline ignores
+     the design, so an empty one is enough to ask. *)
+  let empty = D.create "empty" in
+  let is_full v = String.ends_with ~suffix:"Full" v.V.label in
+  let paper_figure f = List.hd (String.split_on_char '-' f) in
+  List.iter
+    (fun fig ->
+      let panels =
+        List.filter (fun f -> paper_figure f = fig) V.figures
+      in
+      match List.concat_map V.by_figure panels with
+      | [] -> Alcotest.failf "figure %s has no variants" fig
+      | first :: rest ->
+          check (fig ^ " starts with its Full baseline") true
+            (is_full first
+            && Option.is_none (first.V.make_env empty ~cut_nets:None));
+          check (fig ^ " has one Full row") false (List.exists is_full rest))
+    (List.sort_uniq compare (List.map paper_figure V.figures))
+
+let test_runner_full_row () =
+  let r = Experiments.Runner.run ~fast:true (V.find "ibex-full") in
+  check_int "nothing proved" 0 r.Experiments.Runner.proved;
+  check_int "gates are the baseline's" r.Experiments.Runner.baseline_gates
+    r.Experiments.Runner.gates;
+  check "0% area delta" true (Experiments.Runner.area_delta r = 0.);
+  check "0% gate delta" true (Experiments.Runner.gate_delta r = 0.)
+
+let test_catalog_aligned_constrains_data_address () =
+  let core = Cores.Ibex_like.build () in
+  let d = core.Cores.Ibex_like.design in
+  let nets = Cores.Ibex_like.cutpoint_nets core in
+  let plain =
+    Pdat.Environment.riscv_cutpoint d ~nets Isa.Subset.rv32i_aligned
+  in
+  match (V.find "ibex-aligned").V.make_env d ~cut_nets:(Some nets) with
+  | None -> Alcotest.fail "the Aligned variant must constrain its core"
+  | Some env ->
+      check "data-address constraint on top of the subset" true
+        (env.Pdat.Environment.description
+         = plain.Pdat.Environment.description ^ " + aligned");
+      check "the monitor grew" true
+        (D.num_cells env.Pdat.Environment.model
+        > D.num_cells plain.Pdat.Environment.model)
+
 let () =
   Alcotest.run "pdat"
     [
@@ -635,4 +700,14 @@ let () =
             test_reduced_cm0_validates;
         ] );
       ("property library", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
+      ( "experiments",
+        [
+          Alcotest.test_case "variant and figure ids" `Quick test_catalog_ids;
+          Alcotest.test_case "figures start with their Full row" `Quick
+            test_catalog_figures_start_with_full;
+          Alcotest.test_case "full row: 0 proved, 0% deltas" `Quick
+            test_runner_full_row;
+          Alcotest.test_case "aligned constrains the data address" `Quick
+            test_catalog_aligned_constrains_data_address;
+        ] );
     ]

@@ -155,77 +155,6 @@ let test_deadline () =
   check_result "php(4) still unsat under a far deadline" true
     (is_unsat (Sat.Solver.solve ~deadline:(Obs.Clock.now_s () +. 3600.) s4))
 
-let test_dimacs_roundtrip () =
-  let src = "c example\np cnf 3 2\n1 -2 0\n2 3 0\n" in
-  let n, clauses = Sat.Dimacs.parse src in
-  Alcotest.(check int) "vars" 3 n;
-  Alcotest.(check int) "clauses" 2 (List.length clauses);
-  let n', clauses' = Sat.Dimacs.parse (Sat.Dimacs.to_string (n, clauses)) in
-  Alcotest.(check int) "vars rt" n n';
-  Alcotest.(check bool) "clauses rt" true (clauses = clauses')
-
-let test_dimacs_duplicate_literals () =
-  let warnings = ref [] in
-  let n, clauses =
-    Sat.Dimacs.parse
-      ~on_warning:(fun w -> warnings := w :: !warnings)
-      "p cnf 2 2\n1 1 -2 0\n-1 2 0\n"
-  in
-  Alcotest.(check int) "vars" 2 n;
-  Alcotest.(check int) "clauses kept" 2 (List.length clauses);
-  (* the duplicate is dropped, the clause is otherwise intact *)
-  Alcotest.(check int) "deduped clause width" 2
-    (List.length (List.hd clauses));
-  (match !warnings with
-  | [ w ] ->
-      Alcotest.(check int) "warning line" 2 w.Sat.Dimacs.line;
-      Alcotest.(check string) "warning token" "1" w.Sat.Dimacs.token;
-      Alcotest.(check bool) "reason mentions the duplicate" true
-        (String.length w.Sat.Dimacs.reason > 0)
-  | ws -> Alcotest.failf "expected exactly one warning, got %d" (List.length ws));
-  (* opposite-polarity literals are not duplicates *)
-  let warnings = ref [] in
-  let _, tauto =
-    Sat.Dimacs.parse
-      ~on_warning:(fun w -> warnings := w :: !warnings)
-      "p cnf 1 1\n1 -1 0\n"
-  in
-  Alcotest.(check int) "tautology untouched" 2
-    (List.length (List.hd tauto));
-  Alcotest.(check int) "no warning for x or !x" 0 (List.length !warnings);
-  (* default callback: duplicates are still silently deduplicated *)
-  let _, silent = Sat.Dimacs.parse "p cnf 2 1\n2 2 2 1 0\n" in
-  Alcotest.(check int) "silent dedup" 2 (List.length (List.hd silent))
-
-let expect_parse_error ?token src ~line =
-  match Sat.Dimacs.parse src with
-  | _ -> Alcotest.fail (Printf.sprintf "parser accepted malformed input %S" src)
-  | exception Sat.Dimacs.Parse_error { line = l; token = t; _ } ->
-      Alcotest.(check int) "error line" line l;
-      Option.iter (fun tok -> Alcotest.(check string) "error token" tok t) token
-
-let test_dimacs_errors () =
-  (* clause before the problem line *)
-  expect_parse_error "c hi\n1 -2 0\n" ~line:2 ~token:"1";
-  (* malformed problem lines *)
-  expect_parse_error "p cnf three 2\n" ~line:1 ~token:"p cnf three 2";
-  expect_parse_error "p dimacs 3 2\n" ~line:1;
-  expect_parse_error "p cnf -3 2\n" ~line:1;
-  (* duplicate problem line *)
-  expect_parse_error "p cnf 3 1\np cnf 3 1\n1 0\n" ~line:2;
-  (* non-integer literal, with the right line under comments/blanks *)
-  expect_parse_error "p cnf 3 1\nc note\n\n1 x 0\n" ~line:4 ~token:"x";
-  (* literal out of the declared range *)
-  expect_parse_error "p cnf 3 1\n1 -4 0\n" ~line:2 ~token:"-4";
-  (* the most negative literal: [abs min_int] is negative, so a plain
-     [abs v > n_vars] check would let it through to the solver *)
-  expect_parse_error "p cnf 1 1\n-4611686018427387904 0\n" ~line:2
-    ~token:"-4611686018427387904";
-  (* well-formed input still parses *)
-  let n, clauses = Sat.Dimacs.parse "c ok\np cnf 2 2\n1 2 0\n-1 0\n" in
-  Alcotest.(check int) "vars" 2 n;
-  Alcotest.(check int) "clauses" 2 (List.length clauses)
-
 (* --- brute force cross-check ---------------------------------------- *)
 
 let brute_force n_vars clauses =
@@ -612,10 +541,6 @@ let () =
             test_newest_first;
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "wall-clock deadline" `Quick test_deadline;
-          Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
-          Alcotest.test_case "dimacs located errors" `Quick test_dimacs_errors;
-          Alcotest.test_case "dimacs duplicate literals" `Quick
-            test_dimacs_duplicate_literals;
           Alcotest.test_case "vs brute force" `Quick test_vs_brute_force;
           Alcotest.test_case "assumptions vs brute force" `Quick
             test_assumptions_vs_brute_force;
