@@ -463,16 +463,12 @@ let report_cmd =
           })
         result.Pdat.Pipeline.report.Pdat.Pipeline.resume
     in
-    let istats = result.Pdat.Pipeline.report.Pdat.Pipeline.induction in
-    let json =
-      Report.Render.json ~target ~induction:istats ?resume:resume_prov prov
-    in
+    let json = Report.Render.json ~target ?resume:resume_prov prov in
     let md =
       Report.Render.markdown ~target
         ~timings:result.Pdat.Pipeline.report.Pdat.Pipeline.stage_seconds
         ~histograms:(Obs.histograms ())
-        ~commit:(Report.Meta.git_commit ()) ~induction:istats
-        ?resume:resume_prov prov
+        ~commit:(Report.Meta.git_commit ()) ?resume:resume_prov prov
     in
     let write path s =
       Obs.write_file_atomic path s;
@@ -537,8 +533,8 @@ let perf_cmd =
   in
   let rel_tol_arg =
     let doc =
-      "Relative increase tolerated on gated metrics (timings and histogram \
-       percentiles) before a regression is declared."
+      "Relative increase tolerated on gated metrics (timings) before a \
+       regression is declared."
     in
     Arg.(value & opt float 0.15 & info [ "rel-tol" ] ~doc ~docv:"FRAC")
   in
@@ -549,22 +545,12 @@ let perf_cmd =
     in
     Arg.(value & opt float 0.05 & info [ "abs-floor" ] ~doc ~docv:"SECONDS")
   in
-  let abs_floor_hist_arg =
-    let doc =
-      "Absolute floor in seconds for histogram percentiles (per-call \
-       latencies are far smaller than stage timings, so they get their \
-       own floor)."
-    in
-    Arg.(value
-         & opt float 0.0005
-         & info [ "abs-floor-hist" ] ~doc ~docv:"SECONDS")
-  in
   let out_arg =
     let doc = "Also write the markdown delta table(s) to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"FILE")
   in
-  let run rel_tol abs_floor_s abs_floor_hist_s out files =
-    let thresholds = { Report.Perf.rel_tol; abs_floor_s; abs_floor_hist_s } in
+  let run rel_tol abs_floor_s out files =
+    let thresholds = { Report.Perf.rel_tol; abs_floor_s } in
     match files with
     | [] | [ _ ] ->
         Format.eprintf
@@ -604,8 +590,7 @@ let perf_cmd =
          "Compare schema-versioned BENCH_*.json envelopes with noise-aware \
           thresholds and gate on regressions (exit 1 on a regression, 2 on \
           a missing/mismatched file)")
-    Term.(const run $ rel_tol_arg $ abs_floor_arg $ abs_floor_hist_arg
-          $ out_arg $ files)
+    Term.(const run $ rel_tol_arg $ abs_floor_arg $ out_arg $ files)
 
 (* ---------------- tables ---------------------------------------------- *)
 

@@ -3,9 +3,7 @@ exception Mismatch of string
 type t = { path : string; mutable oc : out_channel option }
 
 type recovered = {
-  r_label : string;
   r_stages : (string * string list) list;
-  r_complete : bool;
   r_dropped_lines : int;
 }
 
@@ -197,9 +195,7 @@ let resume ~dir ~digest =
   if not (Sys.file_exists jp) then
     raise (Mismatch (Printf.sprintf "no journal at %s" jp));
   let ic = open_in_bin jp in
-  let label = ref "" in
   let stages = ref [] in
-  let complete = ref false in
   let dropped = ref 0 in
   let good_upto = ref 0 in
   let header_seen = ref false in
@@ -230,7 +226,7 @@ let resume ~dir ~digest =
                   match field fs "type" with
                   | Some (Jstr "run") -> (
                       match (field fs "digest", field fs "label") with
-                      | Some (Jstr d), Some (Jstr l) ->
+                      | Some (Jstr d), Some (Jstr _) ->
                           if !header_seen then false
                           else if d <> digest then
                             raise
@@ -241,7 +237,6 @@ let resume ~dir ~digest =
                                     d digest))
                           else begin
                             header_seen := true;
-                            label := l;
                             true
                           end
                       | _ -> false)
@@ -253,17 +248,9 @@ let resume ~dir ~digest =
                           (stages := (name, items) :: !stages;
                            true)
                       | _ -> false)
-                  | Some (Jstr "shard") ->
-                      (* a proof-shard checkpoint from the deleted fork
-                         pool: nothing replays it, but it is no damage *)
-                      !header_seen
                   | Some (Jstr "end") -> (
                       match field fs "ok" with
-                      | Some (Jbool b) ->
-                          !header_seen
-                          &&
-                          (complete := b;
-                           true)
+                      | Some (Jbool _) -> !header_seen
                       | _ -> false)
                   | _ -> false
                 in
@@ -287,9 +274,4 @@ let resume ~dir ~digest =
   end;
   let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 jp in
   ( { path = jp; oc = Some oc },
-    {
-      r_label = !label;
-      r_stages = List.rev !stages;
-      r_complete = !complete;
-      r_dropped_lines = !dropped;
-    } )
+    { r_stages = List.rev !stages; r_dropped_lines = !dropped } )

@@ -4,8 +4,7 @@
     A journaled run records, in order: a header pinning the netlist and
     environment digest, one record per completed pipeline stage (with
     the surviving candidate keys, {!Engine.Candidate.key} form), and a
-    final end marker.  Journals written while the prover could fork
-    also hold [shard] checkpoint records; {!resume} skips them.
+    final end marker.
 
     The file is [<dir>/journal.jsonl]: one flat JSON object per line,
     each prefixed with a CRC-32 of the rest of the line, flushed and
@@ -26,11 +25,9 @@ exception Mismatch of string
     is unreadable beyond salvage). *)
 
 type recovered = {
-  r_label : string;  (** label the original run was created with *)
   r_stages : (string * string list) list;
       (** completed stages in order, each with its surviving candidate
           keys (empty for stages that carry none) *)
-  r_complete : bool;  (** an end marker was journaled — nothing to redo *)
   r_dropped_lines : int;
       (** torn/corrupt tail lines truncated during replay *)
 }

@@ -27,7 +27,6 @@ type report = {
   after : Netlist.Stats.t;
   seconds : float;
   stage_seconds : (string * float) list;
-  counters : (string * float) list;
   proof_budget_s : float;
   validation : Validate.outcome option;
   validated : bool;
@@ -133,7 +132,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
   in
   let was_enabled = Obs.is_enabled () in
   if trace <> None then Obs.enable ();
-  let counters0 = Obs.counters () in
   let finish_trace () =
     (match trace with
     | Some sink -> Obs.write_sink sink (Obs.drain () @ Obs.counter_events ())
@@ -481,7 +479,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs:_ ?cache ?sieve:_
         after;
         seconds = Obs.Clock.now_s () -. t0;
         stage_seconds = List.rev !stage_seconds;
-        counters = Obs.counters_delta ~since:counters0;
         proof_budget_s = Float.max 0. (Option.value proof_alloc ~default:0.);
         validation;
         validated;

@@ -68,10 +68,6 @@ type report = {
       (** wall-clock per stage, in execution order: ["mine"],
           ["refine"], ["prove"], ["rewire"], ["resynth"], ["baseline"],
           and ["validate"] when enabled *)
-  counters : (string * float) list;
-      (** {!Obs} counters this run moved (SAT decisions/conflicts/
-          propagations, simulated rsim cycles, proof-cache hits/misses),
-          as deltas against the counter state at [run] entry *)
   proof_budget_s : float;
       (** wall-clock granted to the proof stage by the budget allocator;
           [0.] when the run had no [~time_budget] *)
@@ -189,8 +185,10 @@ val run :
     [trace] writes an execution trace of the run to the given {!Obs}
     sink: one span per stage, each carrying the SAT/rsim/cache counters
     it moved (and, for a budgeted stage under [time_budget], the
-    [alloc_s] seconds it was allotted at its start), then the final
-    counter totals and histogram summaries ({!Obs.counter_events}).
+    [alloc_s] seconds it was allotted at its start), with the prover's
+    spans per tier and per SAT call inside ["prove"]
+    ({!Engine.Induction.prove}), then the final counter totals and
+    histogram summaries ({!Obs.counter_events}).
     The file loads directly in [chrome://tracing] / Perfetto.  When
     [trace] is absent, a non-empty [PDAT_TRACE] environment variable
     names the file.  Tracing state is restored (and the file written)

@@ -59,13 +59,6 @@ let mem_word t byte_addr =
 
 let read_mem32 t addr = mem_word t addr
 
-let write_mem32 t addr v =
-  let base = addr land lnot 3 in
-  for i = 0 to 3 do
-    if base + i < Bytes.length t.dmem then
-      Bytes.set t.dmem (base + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
 let read_bus t nets = S.read_bus t.sim nets
 
 let cycle t =

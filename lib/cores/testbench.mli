@@ -23,7 +23,6 @@ val retired : t -> int
 (** Number of cycles in which the core's [retire] output was high. *)
 
 val read_mem32 : t -> int -> int
-val write_mem32 : t -> int -> int -> unit
 
 val read_bus : t -> Netlist.Design.net array -> int
 (** Architectural peeks via internal nets (lane 0). *)

@@ -27,7 +27,6 @@ type stats = {
   workers_failed : int;
   cache_hits : int;
   cache_misses : int;
-  top_costs : Obs.Attr.row list;
   worker_wall_max_s : float;
   worker_idle_frac : float;
 }
@@ -47,7 +46,6 @@ let blank_stats =
     workers_failed = 0;
     cache_hits = 0;
     cache_misses = 0;
-    top_costs = [];
     worker_wall_max_s = 0.;
     worker_idle_frac = 0.;
   }
@@ -195,10 +193,8 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
     candidate_list =
   let candidates = Array.of_list candidate_list in
   let n = Array.length candidates in
-  let ckey = Array.map Candidate.key candidates in
-  let attr0 = Obs.Attr.export () in
+  let sat0 = Obs.counters () in
   let alive = Array.make n true in
-  let sat_calls = ref 0 in
   (* Fate tracking (optional, for provenance): each candidate's first
      cause of death, or its proof.  [fate.(i)] is write-once. *)
   let want_fates = fates <> None in
@@ -318,23 +314,7 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
       alive;
     List.rev !killed
   in
-  (* an aggregate round whose model refuted candidates is those
-     candidates' cost: each gets an equal share of the round's
-     conflicts and wall, and the one call that settled it — without
-     this, kernels the aggregates settle outright would attribute
-     nothing per-candidate *)
-  let bill_round solver killed ~c0 ~t0 =
-    let nk = List.length killed in
-    let share_c = (S.num_conflicts solver - c0) / nk in
-    let share_w = (Obs.Clock.now_s () -. t0) /. float_of_int nk in
-    List.iter
-      (fun i ->
-        Obs.Attr.with_key ckey.(i) (fun () ->
-            Obs.Attr.charge_call ~wall_s:share_w ~conflicts:share_c))
-      killed
-  in
   let budgeted_solve solver assumptions =
-    incr sat_calls;
     let before = S.num_conflicts solver in
     let budget =
       let b = options.call_conflict_budget in
@@ -355,6 +335,28 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
         budget_left := Some remaining);
     r
   in
+  (* One SAT call, as a [sat-call] span whose args are the side, the
+     number of candidates alive when it was made, and the keys of the
+     candidates its model refuted: on [Sat], the model's kills happen
+     inside the span. *)
+  let sat_call side ~is_base assumptions =
+    let n_alive = Array.fold_left (fun c a -> if a then c + 1 else c) 0 alive in
+    let killed = ref [] in
+    let args () =
+      [
+        ("side", Obs.Str (if is_base then "base" else "step"));
+        ("alive", Obs.Int n_alive);
+        ( "refuted",
+          Obs.Str
+            (String.concat " "
+               (List.map (fun i -> Candidate.key candidates.(i)) !killed)) );
+      ]
+    in
+    Obs.with_span ~cat:"prove" ~args "sat-call" (fun () ->
+        let r = budgeted_solve (Unroll.solver side.u) assumptions in
+        if r = S.Sat then killed := kill_from_model side ~is_base;
+        (r, !killed))
+  in
   let base_pass base =
     let solver = Unroll.solver base.u in
     (* The base side has no hypothesis assumptions, so a candidate's
@@ -368,18 +370,11 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
           let r = S.new_selector solver in
           S.add_guarded solver ~guard:r
             (List.map (fun i -> base.viol.(i)) idxs);
-          let c0 = S.num_conflicts solver in
-          let t0 = Obs.Clock.now_s () in
-          let res =
-            Obs.Attr.with_key "(base-aggregate)" (fun () ->
-                budgeted_solve solver [ r ])
-          in
+          let res, killed = sat_call base ~is_base:true [ r ] in
           S.retire solver r;
           (match res with
           | S.Sat ->
-              let killed = kill_from_model base ~is_base:true in
               if killed <> [] then begin
-                bill_round solver killed ~c0 ~t0;
                 cex_propagate base ();
                 aggregate ()
               end
@@ -393,12 +388,8 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
       List.iter
         (fun i ->
           if alive.(i) then
-            match
-              Obs.Attr.with_key ckey.(i) (fun () ->
-                  budgeted_solve solver [ base.viol.(i) ])
-            with
+            match fst (sat_call base ~is_base:true [ base.viol.(i) ]) with
             | S.Sat ->
-                ignore (kill_from_model base ~is_base:true : int list);
                 if alive.(i) then begin
                   alive.(i) <- false;
                   record_kill base ~is_base:true i `Model
@@ -440,18 +431,13 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
           let r = S.new_selector solver in
           S.add_guarded solver ~guard:r
             (List.map (fun i -> step.viol.(i)) idxs);
-          let c0 = S.num_conflicts solver in
-          let t0 = Obs.Clock.now_s () in
-          let res =
-            Obs.Attr.with_key "(step-aggregate)" (fun () ->
-                budgeted_solve solver (r :: assumptions_alive ()))
+          let res, killed =
+            sat_call step ~is_base:false (r :: assumptions_alive ())
           in
           S.retire solver r;
           (match res with
           | S.Sat ->
-              let killed = kill_from_model step ~is_base:false in
               if killed <> [] then begin
-                bill_round solver killed ~c0 ~t0;
                 cex_propagate step ();
                 sync_kills ();
                 aggregate ()
@@ -470,12 +456,11 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
           (fun i ->
             if alive.(i) then
               match
-                Obs.Attr.with_key ckey.(i) (fun () ->
-                    budgeted_solve solver
-                      (step.viol.(i) :: assumptions_alive ()))
+                fst
+                  (sat_call step ~is_base:false
+                     (step.viol.(i) :: assumptions_alive ()))
               with
               | S.Sat ->
-                  ignore (kill_from_model step ~is_base:false : int list);
                   if alive.(i) then begin
                     alive.(i) <- false;
                     record_kill step ~is_base:false i `Model
@@ -494,26 +479,21 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
     in
     aggregate ()
   in
-  (* Each side keeps one long-lived solver.  The step side is encoded
-     only once the base pass is over, from the same initial candidate
-     set, and a side's solver becomes garbage as soon as its counters
-     are read: the two solvers are never live together. *)
-  let counts = ref [] in
-  let run_side side pass =
-    Fun.protect
-      ~finally:(fun () -> counts := S.snapshot (Unroll.solver side.u) :: !counts)
-      (fun () -> pass side)
-  in
+  (* Each side keeps one long-lived solver, and its span covers the
+     encoding and the pass.  The step side is encoded only once the
+     base pass is over, from the same initial candidate set, and a
+     side's solver becomes garbage as soon as its pass returns: the two
+     solvers are never live together. *)
   (try
-     run_side
-       (build_side d ~assume ~init:`Reset ~n_frames:k
-          ~check_frames:(List.init k (fun i -> i))
-          ~guarded:false ~known candidates)
-       base_pass;
-     run_side
-       (build_side d ~assume ~init:`Free ~n_frames:(k + 1) ~check_frames:[ k ]
-          ~guarded:true ~known candidates)
-       step_fixpoint
+     Obs.with_span ~cat:"prove" "base" (fun () ->
+         base_pass
+           (build_side d ~assume ~init:`Reset ~n_frames:k
+              ~check_frames:(List.init k (fun i -> i))
+              ~guarded:false ~known candidates));
+     Obs.with_span ~cat:"prove" "step" (fun () ->
+         step_fixpoint
+           (build_side d ~assume ~init:`Free ~n_frames:(k + 1)
+              ~check_frames:[ k ] ~guarded:true ~known candidates))
    with Out_of_budget ->
      exhausted := true;
      if want_fates then
@@ -539,20 +519,23 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
           in
           Hashtbl.replace tbl candidates.(i) v)
         alive);
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 !counts in
+  (* only [Sat.Solver.solve] moves the [sat.*] counters *)
+  let sat = Obs.counters_delta ~since:sat0 in
+  let sat name =
+    int_of_float (Option.value ~default:0. (List.assoc_opt ("sat." ^ name) sat))
+  in
   ( !proved,
     {
       blank_stats with
       n_candidates = n;
       n_proved = List.length !proved;
-      sat_calls = !sat_calls;
-      conflicts = sum (fun c -> c.S.conflicts);
-      decisions = sum (fun c -> c.S.decisions);
-      propagations = sum (fun c -> c.S.propagations);
+      sat_calls = sat "calls";
+      conflicts = sat "conflicts";
+      decisions = sat "decisions";
+      propagations = sat "propagations";
       rounds = !rounds;
       budget_exhausted = !exhausted;
       deadline_exceeded = !deadline_hit;
-      top_costs = Obs.Attr.top (Obs.Attr.delta ~since:attr0 (Obs.Attr.export ()));
     } )
 
 let prove_parallel ?(options = default_options) ?cex ?jobs:_ ?cache
@@ -560,29 +543,33 @@ let prove_parallel ?(options = default_options) ?cex ?jobs:_ ?cache
   let attribute cand verdict =
     Option.iter (fun tbl -> Hashtbl.replace tbl cand verdict) attributions
   in
-  let sc =
-    Option.map (fun c -> (c, Proof_cache.scope c ~design:d ~assume)) cache
-  in
   (* split the input into cache-resolved candidates and genuine work *)
   let cached_proved = ref [] and fresh = ref [] in
   let hits = ref 0 and misses = ref 0 in
-  List.iter
-    (fun cand ->
-      match sc with
-      | None -> fresh := cand :: !fresh
-      | Some (c, scope) -> (
-          match Proof_cache.find c scope cand with
-          | Some Proof_cache.Proved ->
-              incr hits;
-              attribute cand (V_cached Proof_cache.Proved);
-              cached_proved := cand :: !cached_proved
-          | Some Proof_cache.Disproved ->
-              incr hits;
-              attribute cand (V_cached Proof_cache.Disproved)
-          | None ->
-              incr misses;
-              fresh := cand :: !fresh))
-    candidate_list;
+  let sc =
+    Obs.with_span ~cat:"prove" "cache" @@ fun () ->
+    let sc =
+      Option.map (fun c -> (c, Proof_cache.scope c ~design:d ~assume)) cache
+    in
+    List.iter
+      (fun cand ->
+        match sc with
+        | None -> fresh := cand :: !fresh
+        | Some (c, scope) -> (
+            match Proof_cache.find c scope cand with
+            | Some Proof_cache.Proved ->
+                incr hits;
+                attribute cand (V_cached Proof_cache.Proved);
+                cached_proved := cand :: !cached_proved
+            | Some Proof_cache.Disproved ->
+                incr hits;
+                attribute cand (V_cached Proof_cache.Disproved)
+            | None ->
+                incr misses;
+                fresh := cand :: !fresh))
+      candidate_list;
+    sc
+  in
   let known = List.rev !cached_proved in
   let fresh = List.rev !fresh in
   let proved, st =

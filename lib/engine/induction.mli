@@ -31,9 +31,11 @@ type stats = {
   n_candidates : int;
   n_proved : int;
   sat_calls : int;
+      (** with [conflicts], [decisions] and [propagations]: the delta of
+          the matching [sat.*] {!Obs} counter over the {!prove} call *)
   conflicts : int;
-  decisions : int;     (** SAT branch decisions, summed over solvers *)
-  propagations : int;  (** unit propagations, summed over solvers *)
+  decisions : int;
+  propagations : int;
   rounds : int;
   budget_exhausted : bool;
   deadline_exceeded : bool;  (** the wall-clock budget cut the proof short *)
@@ -45,13 +47,6 @@ type stats = {
   workers_failed : int;
   cache_hits : int;       (** candidates resolved from the proof cache *)
   cache_misses : int;     (** candidates the cache had no verdict for *)
-  top_costs : Obs.Attr.row list;
-      (** deterministic top-K most expensive candidates of this run
-          ({!Obs.Attr.top} over the run's attribution delta): ranked by
-          conflicts, then SAT calls, then key — never by wall time, so
-          for a fixed configuration the table is byte-reproducible run
-          to run.  Aggregate-round costs are shared equally among the
-          candidates the round refuted *)
   worker_wall_max_s : float;
   worker_idle_frac : float;
 }
@@ -110,9 +105,16 @@ val prove :
     nets of the candidates and [known] ({!Unroll}), computed once from
     the initial candidates: they only die, so the cone keeps covering
     every later check.  The step side is encoded after the base pass,
-    and each side's solver is dropped once its counters are read, so
-    the base solver can be reclaimed before the step solver is
-    built.
+    and each side's solver is dropped when its pass returns, so the
+    base solver can be reclaimed before the step solver is built.
+
+    While {!Obs} is tracing, each side's encoding and pass is one span,
+    ["base"] then ["step"], and every SAT call inside them is a
+    ["sat-call"] span with args [side] (["base"] or ["step"]), [alive]
+    (candidates alive when the call was made) and [refuted] (the
+    space-separated {!Candidate.key}s of the candidates its model
+    refuted; empty on an Unsat or Unknown answer).  Like every span,
+    they carry the [sat.*] counter deltas of the work inside them.
 
     [cex] = [(stimulus, cycles)] enables counterexample propagation:
     after each SAT kill, the simulator loads the model's frame-0 state,
@@ -142,9 +144,9 @@ val prove_parallel :
   Netlist.Design.t ->
   Candidate.t list ->
   Candidate.t list * stats
-(** The proof stage: settles candidates with a cached verdict up front,
-    then runs {!prove} on the rest with the cached proofs as [known]
-    invariants.  Returns the proved candidates in input order, and
+(** The proof stage: settles candidates with a cached verdict up front
+    (a ["cache"] span while {!Obs} is tracing), then runs {!prove} on
+    the rest with the cached proofs as [known] invariants.  Returns the proved candidates in input order, and
     exactly {!prove}'s proved set when the cache is empty.
 
     Fresh verdicts are recorded in [cache] only when the run completed

@@ -109,5 +109,10 @@ let pp_row fmt r =
 
 let pp_rows ~title fmt rows =
   Format.fprintf fmt "@[<v>== %s ==@," title;
+  List.sort_uniq compare
+    (List.map (fun r -> (r.baseline_area, r.baseline_gates)) rows)
+  |> List.iter (fun (area, gates) ->
+         Format.fprintf fmt "deltas against Full: %.1f um^2, %d gates@," area
+           gates);
   List.iter (fun r -> Format.fprintf fmt "%a@," pp_row r) rows;
   Format.fprintf fmt "@]"

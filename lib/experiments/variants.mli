@@ -24,8 +24,9 @@ val find : string -> t
 (** @raise Not_found *)
 
 val figures : string list
-(** Figure ids in paper order; each figure's variants start with its
-    "Full" baseline. *)
+(** Figure ids in paper order.  fig5-isa, fig6 and fig7 start with
+    their core's "Full" baseline; fig5-mibench and fig5-special, the
+    other two panels of Figure 5, share fig5-isa's. *)
 
 val title : string -> string
 (** The heading a figure's rows print under.

@@ -22,8 +22,6 @@ let read m addr =
   let addr = Ops.uresize addr m.addr_bits in
   Ops.mux addr (Array.to_list (Array.map Reg.q m.words))
 
-let read_const m i = Reg.q m.words.(i)
-
 let word_select m ~en ~addr i =
   let addr = Ops.uresize addr m.addr_bits in
   Ops.( &: ) en (Ops.eq_const addr i)

@@ -13,9 +13,6 @@ val create : Ctx.t -> words:int -> width:int -> string -> t
 val read : t -> Ctx.signal -> Ctx.signal
 (** Combinational read port; address truncates/extends to fit. *)
 
-val read_const : t -> int -> Ctx.signal
-(** Direct view of one word. *)
-
 val write : t -> en:Ctx.signal -> addr:Ctx.signal -> data:Ctx.signal -> unit
 (** Adds a write port.  Call at most once per memory unless ports are
     guaranteed mutually exclusive; the last-added port wins on

@@ -175,8 +175,6 @@ let slt a b =
   in
   flip a <: flip b
 
-let sge a b = ~:(slt a b)
-
 let eq_const s v = s ==: const s.Ctx.ctx ~width:(width s) v
 
 (* --- selection ------------------------------------------------------- *)

@@ -76,8 +76,6 @@ val ( >: ) : signal -> signal -> signal
 val slt : signal -> signal -> signal
 (** Signed less-than. *)
 
-val sge : signal -> signal -> signal
-
 val eq_const : signal -> int -> signal
 
 (* selection *)

@@ -41,16 +41,6 @@ let connect r next =
 
 let connect_en r ~en next = connect r (Ops.mux2 en (q r) next)
 
-let connect_en_clr r ~en ~clr next =
-  let w = Array.length r.outs in
-  let reset_value = Ops.const r.ctx ~width:w r.init in
-  connect r (Ops.mux2 clr (Ops.mux2 en (q r) next) reset_value)
-
-let reg_next c ?init name next =
-  let r = create c ?init ~width:(Ctx.width next) name in
-  connect r next;
-  q r
-
 let reg_en c ?init name ~en next =
   let r = create c ?init ~width:(Ctx.width next) name in
   connect_en r ~en next;

@@ -20,11 +20,5 @@ val connect : t -> Ctx.signal -> unit
 val connect_en : t -> en:Ctx.signal -> Ctx.signal -> unit
 (** Holds the current value when [en] is 0. *)
 
-val connect_en_clr : t -> en:Ctx.signal -> clr:Ctx.signal -> Ctx.signal -> unit
-(** Synchronous clear (to the reset value) dominating enable. *)
-
-val reg_next : Ctx.t -> ?init:int -> string -> Ctx.signal -> Ctx.signal
-(** One-shot pipeline register: no feedback, connected immediately. *)
-
 val reg_en : Ctx.t -> ?init:int -> string -> en:Ctx.signal -> Ctx.signal -> Ctx.signal
 (** Feedback-free enabled register (holds when disabled). *)

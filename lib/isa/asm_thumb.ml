@@ -175,11 +175,6 @@ let rev t ~rd ~rm =
   lo3 "rev" rd; lo3 "rev" rm;
   fixed t ((0b1011101000 lsl 6) lor (rm lsl 3) lor rd)
 
-let add_sp_imm t imm =
-  if imm mod 4 <> 0 then failwith "Asm_thumb: sp adjust not word aligned";
-  check "add sp" 0 508 imm;
-  fixed t ((0b101100000 lsl 7) lor (imm / 4))
-
 let sub_sp_imm t imm =
   if imm mod 4 <> 0 then failwith "Asm_thumb: sp adjust not word aligned";
   check "sub sp" 0 508 imm;

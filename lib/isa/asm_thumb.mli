@@ -76,7 +76,6 @@ val sxth : t -> rd:int -> rm:int -> unit
 val uxtb : t -> rd:int -> rm:int -> unit
 val uxth : t -> rd:int -> rm:int -> unit
 val rev : t -> rd:int -> rm:int -> unit
-val add_sp_imm : t -> int -> unit
 val sub_sp_imm : t -> int -> unit
 val nop : t -> unit
 

@@ -137,13 +137,6 @@ let decode16 word =
 
 let is_compressed word = word land 3 <> 3
 
-let ext_name = function
-  | I -> "i"
-  | M -> "m"
-  | C -> "c"
-  | Zicsr -> "zicsr"
-  | Zifencei -> "zifencei"
-
 let r_type =
   [ "add"; "sub"; "sll"; "slt"; "sltu"; "xor"; "srl"; "sra"; "or"; "and" ]
 

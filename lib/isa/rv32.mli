@@ -35,8 +35,6 @@ val decode16 : int -> t option
 val is_compressed : int -> bool
 (** Low two bits of the fetch word are not [11]. *)
 
-val ext_name : ext -> string
-
 val r_type : string list
 (** Register-register instructions (the paper's "Reduced Addressing"
     subset removes these). *)

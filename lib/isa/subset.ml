@@ -34,13 +34,6 @@ let same_arch a b =
 
 let union name a b = { arch = same_arch a b; name; instrs = List.sort_uniq compare (a.instrs @ b.instrs) }
 
-let inter name a b =
-  {
-    arch = same_arch a b;
-    name;
-    instrs = List.filter (fun i -> List.mem i b.instrs) a.instrs;
-  }
-
 let remove name t dropped =
   List.iter
     (fun nm ->

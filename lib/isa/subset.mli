@@ -20,7 +20,6 @@ val mem : t -> string -> bool
 
 val union : string -> t -> t -> t
 val remove : string -> t -> string list -> t
-val inter : string -> t -> t -> t
 
 (* RISC-V family subsets used across the evaluation *)
 

@@ -50,16 +50,6 @@ let enable () = enabled := true
 let disable () = enabled := false
 let is_enabled () = !enabled
 
-let reset_hists = ref (fun () -> ())
-let reset_attr = ref (fun () -> ())
-
-let reset () =
-  events := [];
-  Hashtbl.reset tbl;
-  !reset_hists ();
-  !reset_attr ();
-  cur_pid := Unix.getpid ()
-
 (* ---------------- counters ------------------------------------------ *)
 
 let add name v =
@@ -164,92 +154,11 @@ let histograms () =
     hists []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let () = reset_hists := fun () -> Hashtbl.reset hists
-
-(* ---------------- cost attribution ---------------------------------- *)
-
-(* Per-candidate cost rows.  The SAT layer bills every solve to the key
-   currently in dynamic scope ([with_key]); untagged calls are simply
-   not billed. *)
-
-module Attr = struct
-  type row = {
-    a_key : string;          (* Candidate.key, or "(...)"-bracketed bucket *)
-    a_wall_s : float;
-    a_sat_calls : int;
-    a_conflicts : int;
-  }
-
-  let atbl : (string, row) Hashtbl.t = Hashtbl.create 64
-  let cur_key : string option ref = ref None
-
-  let blank key = { a_key = key; a_wall_s = 0.; a_sat_calls = 0; a_conflicts = 0 }
-
-  let find key =
-    match Hashtbl.find_opt atbl key with
-    | Some r -> r
-    | None -> blank key
-
-  let with_key key f =
-    let saved = !cur_key in
-    cur_key := Some key;
-    Fun.protect ~finally:(fun () -> cur_key := saved) f
-
-  let charge_call ~wall_s ~conflicts =
-    match !cur_key with
-    | None -> ()
-    | Some key ->
-        let r = find key in
-        Hashtbl.replace atbl key
-          {
-            r with
-            a_wall_s = r.a_wall_s +. wall_s;
-            a_sat_calls = r.a_sat_calls + 1;
-            a_conflicts = r.a_conflicts + conflicts;
-          }
-
-  let export () =
-    Hashtbl.fold (fun _ r acc -> r :: acc) atbl []
-    |> List.sort (fun a b -> compare a.a_key b.a_key)
-
-  let delta ~since rows =
-    let base = Hashtbl.create (List.length since) in
-    List.iter (fun r -> Hashtbl.replace base r.a_key r) since;
-    List.filter_map
-      (fun r ->
-        let d =
-          match Hashtbl.find_opt base r.a_key with
-          | None -> r
-          | Some o ->
-              {
-                r with
-                a_wall_s = r.a_wall_s -. o.a_wall_s;
-                a_sat_calls = r.a_sat_calls - o.a_sat_calls;
-                a_conflicts = r.a_conflicts - o.a_conflicts;
-              }
-        in
-        if d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_wall_s = 0. then None
-        else Some d)
-      rows
-
-  (* deterministic ranking: wall time is excluded on purpose, so the
-     same proof run always yields the same table byte-for-byte *)
-  let top ?(k = 10) rows =
-    rows
-    |> List.filter (fun r -> String.length r.a_key > 0 && r.a_key.[0] <> '(')
-    |> List.sort (fun a b ->
-           match compare b.a_conflicts a.a_conflicts with
-           | 0 -> (
-               match compare b.a_sat_calls a.a_sat_calls with
-               | 0 -> compare a.a_key b.a_key
-               | c -> c)
-           | c -> c)
-    |> List.filteri (fun i _ -> i < k)
-
-  let () = reset_attr := fun () ->
-      Hashtbl.reset atbl;
-      cur_key := None
-end
+let reset () =
+  events := [];
+  Hashtbl.reset tbl;
+  Hashtbl.reset hists;
+  cur_pid := Unix.getpid ()
 
 (* ---------------- spans --------------------------------------------- *)
 

@@ -83,45 +83,6 @@ val histogram : string -> histogram option
 val histograms : unit -> (string * histogram) list
 (** All non-empty distributions, sorted by name. *)
 
-(** {1 Cost attribution}
-
-    Per-candidate cost rows: wall time, SAT calls and conflicts, billed
-    to whatever key is in dynamic scope when the SAT layer reports a
-    solve.  Keys are {!Engine.Candidate} keys; aggregate
-    (multi-candidate) solver calls are billed to ["(...)"]-bracketed
-    bucket keys, which {!Attr.top} excludes.  {!reset} clears the
-    table. *)
-
-module Attr : sig
-  type row = {
-    a_key : string;       (** candidate key, or a ["(...)"] bucket *)
-    a_wall_s : float;     (** solver wall time billed to this key *)
-    a_sat_calls : int;
-    a_conflicts : int;
-  }
-
-  val with_key : string -> (unit -> 'a) -> 'a
-  (** [with_key k f] bills every {!charge_call} during [f] to [k].
-      Nests; restored on exit even when [f] raises. *)
-
-  val charge_call : wall_s:float -> conflicts:int -> unit
-  (** Bill one SAT call to the key in scope (no-op without one) — the
-      call site is the solver's solve wrapper. *)
-
-  val export : unit -> row list
-  (** All rows, sorted by key. *)
-
-  val delta : since:row list -> row list -> row list
-  (** Rows of the second argument minus a prior {!export} snapshot;
-      all-zero rows are dropped. *)
-
-  val top : ?k:int -> row list -> row list
-  (** Deterministic top-[k] (default 10) most expensive candidates:
-      ranked by conflicts, then SAT calls, then key — wall time is
-      deliberately not a ranking criterion, so the table is
-      byte-reproducible across runs.  Bucket rows are excluded. *)
-end
-
 (** {1 Spans and events} *)
 
 type arg = Int of int | Float of float | Str of string | Bool of bool
@@ -143,8 +104,8 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Clear recorded events, counters, histograms and attribution rows,
-    and re-read the pid. *)
+(** Clear recorded events, counters and histograms, and re-read the
+    pid. *)
 
 val with_span :
   ?cat:string -> ?args:(unit -> (string * arg) list) -> string ->

@@ -1,16 +1,13 @@
 (* The perf-regression gate: load two schema-versioned BENCH_*.json
-   files, diff their timings / counters / histogram percentiles with
-   noise-aware thresholds, render a byte-deterministic markdown delta
-   table, and say whether anything regressed.
+   files, diff their timings and counters with noise-aware thresholds,
+   render a byte-deterministic markdown delta table, and say whether
+   anything regressed.
 
    Gating rules:
    - scalar fields named [*_s] are wall-clock timings: a regression is
      a relative increase beyond [rel_tol] that is also larger than
      [abs_floor_s] in absolute seconds (both conditions, so micro-noise
      on a 2 ms number can never trip the gate);
-   - histogram [p50]/[p95] gate the same way against [abs_floor_hist_s]
-     (per-call latencies are three orders of magnitude smaller than
-     stage timings, so they get their own floor);
    - every other numeric field (counters, cores, speedups) is reported
      as a delta but never gates — SAT call counts legitimately move
      when an optimization lands, and speedups are derived from the
@@ -166,14 +163,11 @@ let parse_json ~path s =
 
 (* ---------------- the bench envelope ---------------------------------- *)
 
-type hist_summary = { h_count : float; h_p50 : float; h_p95 : float }
-
 type bench = {
   b_path : string;
   b_schema : int;
   b_target : string;
   b_fields : (string * float) list;  (* numeric scalars, sorted by name *)
-  b_hists : (string * hist_summary) list;  (* sorted by name *)
 }
 
 let load path =
@@ -213,37 +207,16 @@ let load path =
       fields
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let hists =
-    match List.assoc_opt "histograms" fields with
-    | Some (Obj hs) ->
-        List.filter_map
-          (fun (name, v) ->
-            match v with
-            | Obj h ->
-                let num key =
-                  match List.assoc_opt key h with Some (Num f) -> f | _ -> 0.
-                in
-                Some
-                  ( name,
-                    { h_count = num "count"; h_p50 = num "p50"; h_p95 = num "p95" } )
-            | _ -> None)
-          hs
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-    | _ -> []
-  in
-  { b_path = path; b_schema = schema; b_target = target; b_fields = scalars;
-    b_hists = hists }
+  { b_path = path; b_schema = schema; b_target = target; b_fields = scalars }
 
 (* ---------------- comparison ------------------------------------------ *)
 
 type thresholds = {
   rel_tol : float;        (* relative increase tolerated on gated metrics *)
   abs_floor_s : float;    (* timings below this absolute delta never gate *)
-  abs_floor_hist_s : float;  (* same, for histogram percentiles *)
 }
 
-let default_thresholds =
-  { rel_tol = 0.15; abs_floor_s = 0.05; abs_floor_hist_s = 0.0005 }
+let default_thresholds = { rel_tol = 0.15; abs_floor_s = 0.05 }
 
 type delta = {
   d_metric : string;
@@ -274,57 +247,24 @@ let compare_benches ?(thresholds = default_thresholds) ~base cur =
       (Perf_error
          (Printf.sprintf "target mismatch: %s is '%s', %s is '%s'" base.b_path
             base.b_target cur.b_path cur.b_target));
-  let scalar_deltas =
-    List.filter_map
-      (fun (name, cur_v) ->
-        match List.assoc_opt name base.b_fields with
-        | None -> None
-        | Some base_v ->
-            let gated = is_timing name in
-            Some
-              {
-                d_metric = name;
-                d_base = base_v;
-                d_cur = cur_v;
-                d_gated = gated;
-                d_regression =
-                  gated
-                  && gate ~tol:thresholds.rel_tol ~floor:thresholds.abs_floor_s
-                       base_v cur_v;
-              })
-      cur.b_fields
-  in
-  let hist_deltas =
-    List.concat_map
-      (fun (name, (ch : hist_summary)) ->
-        match List.assoc_opt name base.b_hists with
-        | None -> []
-        | Some bh ->
-            let pct label base_v cur_v =
-              {
-                d_metric = Printf.sprintf "%s.%s" name label;
-                d_base = base_v;
-                d_cur = cur_v;
-                d_gated = true;
-                d_regression =
-                  gate ~tol:thresholds.rel_tol
-                    ~floor:thresholds.abs_floor_hist_s base_v cur_v;
-              }
-            in
-            [
-              pct "p50" bh.h_p50 ch.h_p50;
-              pct "p95" bh.h_p95 ch.h_p95;
-              {
-                d_metric = name ^ ".count";
-                d_base = bh.h_count;
-                d_cur = ch.h_count;
-                d_gated = false;
-                d_regression = false;
-              };
-            ])
-      cur.b_hists
-  in
-  scalar_deltas @ hist_deltas
+  List.filter_map
+    (fun (name, cur_v) ->
+      match List.assoc_opt name base.b_fields with
+      | None -> None
+      | Some base_v ->
+          let gated = is_timing name in
+          Some
+            {
+              d_metric = name;
+              d_base = base_v;
+              d_cur = cur_v;
+              d_gated = gated;
+              d_regression =
+                gated
+                && gate ~tol:thresholds.rel_tol ~floor:thresholds.abs_floor_s
+                     base_v cur_v;
+            })
+    cur.b_fields
 
 let regressions = List.filter (fun d -> d.d_regression)
 
@@ -341,10 +281,10 @@ let markdown_table ?(thresholds = default_thresholds) ~base cur deltas =
   pr "## Perf delta: %s → %s\n\n"
     (Filename.basename base.b_path)
     (Filename.basename cur.b_path);
-  pr "Thresholds: ±%.0f%% relative, %.3fs absolute floor (timings), %.4fs \
-      (histogram percentiles). Only timing and percentile rows gate.\n\n"
+  pr "Thresholds: ±%.0f%% relative, %.3fs absolute floor. Only timing rows \
+      gate.\n\n"
     (100. *. thresholds.rel_tol)
-    thresholds.abs_floor_s thresholds.abs_floor_hist_s;
+    thresholds.abs_floor_s;
   pr "| metric | base | current | Δ%% | gate |\n|---|---|---|---|---|\n";
   List.iter
     (fun d ->

@@ -2,12 +2,11 @@
     [BENCH_*.json] envelopes and gate on noise-aware thresholds.
 
     A metric gates (can fail the comparison) iff it is a wall-clock
-    scalar (name ending in [_s]) or a histogram percentile ([p50]/
-    [p95]).  A gated metric regresses when its increase exceeds {e
-    both} the relative tolerance and the absolute floor — the
-    two-condition rule keeps micro-noise on millisecond numbers from
-    tripping the gate while still catching a 20% slide on a
-    seconds-scale stage timing.  Counters and derived ratios
+    scalar (name ending in [_s]).  A gated metric regresses when its
+    increase exceeds {e both} the relative tolerance and the absolute
+    floor — the two-condition rule keeps micro-noise on millisecond
+    numbers from tripping the gate while still catching a 20% slide
+    on a seconds-scale stage timing.  Counters and derived ratios
     (SAT-call counts, speedups) are reported as informational deltas
     only.
 
@@ -21,14 +20,11 @@ exception Perf_error of string
     [schema_version], or mismatched [target].  The CLI maps this to
     exit code 2 (vs 1 for a genuine regression). *)
 
-type hist_summary = { h_count : float; h_p50 : float; h_p95 : float }
-
 type bench = {
   b_path : string;
   b_schema : int;
   b_target : string;   (** [""] when the envelope has no [target] field *)
   b_fields : (string * float) list;  (** numeric scalars, sorted by name *)
-  b_hists : (string * hist_summary) list;  (** sorted by name *)
 }
 
 val load : string -> bench
@@ -40,11 +36,10 @@ val load : string -> bench
 type thresholds = {
   rel_tol : float;        (** relative increase tolerated on gated metrics *)
   abs_floor_s : float;    (** timings below this absolute delta never gate *)
-  abs_floor_hist_s : float;  (** same, for histogram percentiles *)
 }
 
 val default_thresholds : thresholds
-(** [{ rel_tol = 0.15; abs_floor_s = 0.05; abs_floor_hist_s = 0.0005 }] *)
+(** [{ rel_tol = 0.15; abs_floor_s = 0.05 }] *)
 
 type delta = {
   d_metric : string;
@@ -57,8 +52,7 @@ type delta = {
 val compare_benches : ?thresholds:thresholds -> base:bench -> bench -> delta list
 (** Deltas for every metric present in {e both} envelopes (metrics only
     one side has are skipped — schema growth must not fail old
-    baselines), in a deterministic order: scalars sorted by name, then
-    per-histogram [p50]/[p95]/[count] triples sorted by histogram name.
+    baselines), sorted by name.
     Raises {!Perf_error} on [schema_version] or [target] mismatch. *)
 
 val regressions : delta list -> delta list

@@ -236,18 +236,7 @@ let edit_json prov (e : P.edit_record) =
              e.P.e_dead) );
     ]
 
-(* Deterministic projection of a cost row: wall time is deliberately
-   omitted (render.mli promises the JSON carries no wall-clock data);
-   ranking inside [top_costs] never used it either. *)
-let attr_row_json (r : Obs.Attr.row) =
-  jobj
-    [
-      ("key", jstr r.Obs.Attr.a_key);
-      ("sat_calls", string_of_int r.Obs.Attr.a_sat_calls);
-      ("conflicts", string_of_int r.Obs.Attr.a_conflicts);
-    ]
-
-let json ?(target = "design") ?induction ?resume prov =
+let json ?(target = "design") ?resume prov =
   let records = P.records prov in
   let s = summarize records in
   let edits = P.edits prov in
@@ -307,19 +296,6 @@ let json ?(target = "design") ?induction ?resume prov =
                    (float_of_int (Netlist.Stats.gate_count st_red))) );
           ]
   in
-  let costs_fields =
-    match induction with
-    | None -> []
-    | Some (st : I.stats) ->
-        [
-          ( "costs",
-            jobj
-              [
-                ( "top_candidates",
-                  jlist (List.map attr_row_json st.I.top_costs) );
-              ] );
-        ]
-  in
   let resume_fields =
     match resume with
     | None -> []
@@ -356,7 +332,7 @@ let json ?(target = "design") ?induction ?resume prov =
              (P.unattributed_dead prov)) );
       ("area", area_json);
     ]
-    @ costs_fields @ resume_fields)
+    @ resume_fields)
   ^ "\n"
 
 (* ---------------- markdown report ----------------------------------- *)
@@ -369,7 +345,7 @@ let cand_pp prov (r : P.cand_record) =
       Printf.sprintf "`%s -> %s`" (net_label prov a) (net_label prov b)
 
 let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
-    ?induction ?resume prov =
+    ?resume prov =
   let b = Buffer.create 8192 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let records = P.records prov in
@@ -519,20 +495,6 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
         if r.rs_dropped_lines > 0 then
           pr "; %d torn journal line(s) truncated" r.rs_dropped_lines;
         pr ".\n"
-      end);
-  (* --- cost attribution -------------------------------------------- *)
-  (match induction with
-  | None -> ()
-  | Some (st : I.stats) ->
-      if st.I.top_costs <> [] then begin
-        pr "\n## Most expensive candidates\n\n";
-        pr "| candidate | SAT calls | conflicts | wall (s) |\n";
-        pr "|---|---|---|---|\n";
-        List.iter
-          (fun (r : Obs.Attr.row) ->
-            pr "| `%s` | %d | %d | %.4f |\n" r.Obs.Attr.a_key
-              r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts r.Obs.Attr.a_wall_s)
-          st.I.top_costs
       end);
   (* --- optional non-deterministic sections ------------------------- *)
   if timings <> [] then begin

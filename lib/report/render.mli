@@ -28,26 +28,13 @@ type resume_summary = {
     the golden tests rely on.  The JSON rendering keeps only the
     journal's basename so reports stay machine-independent. *)
 
-val json :
-  ?target:string ->
-  ?induction:Engine.Induction.stats ->
-  ?resume:resume_summary ->
-  Provenance.t ->
-  string
-(** [induction], when given, adds a ["costs"] object: the run's
-    deterministic top-K candidate-cost table (key, SAT calls,
-    conflicts — {e no wall time}, so the golden byte-determinism
-    property is preserved). *)
+val json : ?target:string -> ?resume:resume_summary -> Provenance.t -> string
 
 val markdown :
   ?target:string ->
   ?timings:(string * float) list ->
   ?histograms:(string * Obs.histogram) list ->
   ?commit:string ->
-  ?induction:Engine.Induction.stats ->
   ?resume:resume_summary ->
   Provenance.t ->
   string
-(** [induction] appends the cost-attribution table, here including
-    per-candidate wall seconds — wall data lives in this
-    non-deterministic markdown section, never in the JSON. *)

@@ -892,31 +892,11 @@ let solve ?assumptions ?conflict_budget ?deadline s =
   let r = solve_body ?assumptions ?conflict_budget ?deadline s in
   let dt = Obs.Clock.now_s () -. t0 in
   Obs.observe "sat.call_s" dt;
-  Obs.Attr.charge_call ~wall_s:dt ~conflicts:(s.conflicts - c0);
   Obs.add_int "sat.calls" 1;
   Obs.add_int "sat.conflicts" (s.conflicts - c0);
   Obs.add_int "sat.decisions" (s.decisions - d0);
   Obs.add_int "sat.propagations" (s.propagations - p0);
   r
-
-type snapshot = {
-  vars : int;
-  clauses : int;
-  learnts : int;
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-}
-
-let snapshot s =
-  {
-    vars = s.n_vars;
-    clauses = s.n_clauses;
-    learnts = s.n_learnts;
-    conflicts = s.conflicts;
-    decisions = s.decisions;
-    propagations = s.propagations;
-  }
 
 let value s v = s.model.(v) = 1
 

@@ -67,7 +67,9 @@ val solve :
     [sat.decisions] / [sat.propagations] counters in {!Obs}, so any
     enclosing trace span carries the SAT work it caused, and records
     its wall-clock latency into the [sat.call_s] {!Obs} distribution
-    (p50/p95 of it surface in bench JSON and run reports). *)
+    (p50/p95 of it surface in bench JSON and run reports).  Nothing
+    else moves those counters, so their delta over an interval is the
+    SAT work done in it. *)
 
 val new_selector : t -> Lit.t
 (** A fresh {e selector} (activation) literal for incremental clause
@@ -103,19 +105,5 @@ val lit_value : t -> Lit.t -> bool
 
 val num_conflicts : t -> int
 (** Total conflicts across all [solve] calls, for budget accounting. *)
-
-type snapshot = {
-  vars : int;
-  clauses : int;  (** problem clauses *)
-  learnts : int;  (** currently retained learned clauses *)
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-}
-
-val snapshot : t -> snapshot
-(** A cheap copy of the cumulative search counters.  The prover reads
-    one per solver when it is done with it and sums them into its
-    statistics, so the solver itself can be freed. *)
 
 val num_clauses : t -> int

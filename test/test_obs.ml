@@ -1,6 +1,6 @@
 (* Tests for the observability layer (lib/obs): counters, spans,
-   histograms, cost attribution, atomic file writes, and a parseable
-   --trace file whose spans cover every pipeline stage. *)
+   histograms, atomic file writes, a parseable --trace file whose spans
+   cover every pipeline stage, and the prover's spans inside it. *)
 
 module D = Netlist.Design
 module C = Netlist.Cell
@@ -296,10 +296,10 @@ let test_pipeline_trace_golden () =
   (* histograms are process-wide: start from an empty recorder so the
      trace's final events are this run's *)
   Obs.reset ();
-  let r =
-    Pdat.Pipeline.run ~validate:true ~lint:Analysis.Lint.Warn
-      ~time_budget:60. ~trace:(Obs.Chrome path) ~design:d ~env ()
-  in
+  ignore
+    (Pdat.Pipeline.run ~validate:true ~lint:Analysis.Lint.Warn
+       ~time_budget:60. ~trace:(Obs.Chrome path) ~design:d ~env ()
+      : Pdat.Pipeline.result);
   check "tracing restored to disabled" false (Obs.is_enabled ());
   let events = trace_events path in
   let spans = events_of_phase "X" events in
@@ -324,13 +324,12 @@ let test_pipeline_trace_golden () =
       | _ -> Alcotest.failf "stage %S has no alloc_s arg" stage)
     [ "mine"; "refine"; "prove"; "validate" ];
   check "rewire is not budgeted" true (alloc_s "rewire" = None);
-  (* the counters the report carries must also surface in the trace *)
-  let counter_names = List.map event_name (events_of_phase "C" events) in
-  check "rsim cycle counter in trace" true (List.mem "rsim.cycles" counter_names);
-  check "report counters non-empty" true
-    (r.Pdat.Pipeline.report.Pdat.Pipeline.counters <> []);
-  check "report counts rsim cycles" true
-    (List.mem_assoc "rsim.cycles" r.Pdat.Pipeline.report.Pdat.Pipeline.counters);
+  let counter name =
+    List.find_map
+      (fun e -> if event_name e = name then arg e "value" else None)
+      (events_of_phase "C" events)
+  in
+  check "rsim cycle counter in trace" true (counter "rsim.cycles" <> None);
   (* the per-SAT-call latency histogram closes the trace, its count
      equal to the run's SAT calls *)
   let last = List.nth events (List.length events - 1) in
@@ -338,10 +337,39 @@ let test_pipeline_trace_golden () =
     (event_name last = "sat.call_s"
     && Json.member "ph" last = Some (Json.Str "C"));
   check "histogram count is the SAT call count" true
-    (arg last "count"
-    = Option.map
-        (fun v -> Json.Num v)
-        (List.assoc_opt "sat.calls" r.Pdat.Pipeline.report.Pdat.Pipeline.counters))
+    (arg last "count" = counter "sat.calls");
+  (* inside prove, from a cold start: one span per prover tier, and one
+     sat-call span per SAT call, their conflicts summing to prove's *)
+  let prove = List.find (fun e -> event_name e = "prove") spans in
+  let field e key = Json.num_exn (Option.get (Json.member key e)) in
+  let num e key =
+    match arg e key with Some (Json.Num v) -> v | _ -> 0.
+  in
+  let inside e =
+    field e "ts" >= field prove "ts"
+    && field e "ts" <= field prove "ts" +. field prove "dur"
+  in
+  let in_prove = List.filter (fun e -> e != prove && inside e) spans in
+  let named n = List.filter (fun e -> event_name e = n) in_prove in
+  List.iter
+    (fun tier ->
+      check_int (Printf.sprintf "one %s span inside prove" tier) 1
+        (List.length (named tier)))
+    [ "cache"; "base"; "step" ];
+  let calls = named "sat-call" in
+  check "prove made SAT calls" true (calls <> []);
+  check_int "one sat-call span per SAT call"
+    (int_of_float (num prove "sat.calls"))
+    (List.length calls);
+  check_int "sat-call conflicts sum to prove's"
+    (int_of_float (num prove "sat.conflicts"))
+    (int_of_float
+       (List.fold_left (fun acc e -> acc +. num e "sat.conflicts") 0. calls));
+  check "every sat-call names its side" true
+    (List.for_all
+       (fun e ->
+         List.mem (arg e "side") [ Some (Json.Str "base"); Some (Json.Str "step") ])
+       calls)
 
 let test_pdat_trace_env_var () =
   let d = Netlist.Generate.random ~seed:3 ~config:gen_config () in
@@ -394,70 +422,10 @@ let test_histogram_reset () =
   Alcotest.(check bool) "reset clears distributions" true
     (Obs.histogram "m.x" = None)
 
-(* --- cost attribution ---------------------------------------------------- *)
-
-let test_attr_billing () =
-  Obs.reset ();
-  (* a charge with no key in scope is dropped, not misfiled *)
-  Obs.Attr.charge_call ~wall_s:1.0 ~conflicts:5;
-  check "untagged charge is a no-op" true (Obs.Attr.export () = []);
-  Obs.Attr.with_key "C1:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.5 ~conflicts:3;
-      Obs.Attr.charge_call ~wall_s:0.25 ~conflicts:1);
-  Obs.Attr.with_key "C2:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.125 ~conflicts:0);
-  (match Obs.Attr.export () with
-  | [ r1; r2 ] ->
-      check "rows sorted by key" true
-        (r1.Obs.Attr.a_key = "C1:0" && r2.Obs.Attr.a_key = "C2:0");
-      check_int "calls accumulated" 2 r1.Obs.Attr.a_sat_calls;
-      check_int "conflicts accumulated" 4 r1.Obs.Attr.a_conflicts;
-      Alcotest.(check (float 1e-9)) "wall accumulated" 0.75 r1.Obs.Attr.a_wall_s;
-      check_int "second key billed on its own row" 1 r2.Obs.Attr.a_sat_calls
-  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
-  (* the key scope is restored even when the body raises *)
-  (try Obs.Attr.with_key "C9:0" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:1;
-  check_int "key restored after raise: charge dropped again" 2
-    (List.length (Obs.Attr.export ()));
-  Obs.reset ();
-  check "reset clears the attribution table" true (Obs.Attr.export () = [])
-
-let test_attr_delta_and_top () =
-  Obs.reset ();
-  Obs.Attr.with_key "(base-aggregate)" (fun () ->
-      Obs.Attr.charge_call ~wall_s:1.0 ~conflicts:100);
-  Obs.Attr.with_key "C1:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:2);
-  let since = Obs.Attr.export () in
-  Obs.Attr.with_key "C1:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:8);
-  Obs.Attr.with_key "C2:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:10);
-  Obs.Attr.with_key "C3:0" (fun () ->
-      Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:10);
-  let d = Obs.Attr.delta ~since (Obs.Attr.export ()) in
-  check "delta drops unmoved rows" true
-    (List.for_all (fun r -> r.Obs.Attr.a_key <> "(base-aggregate)") d);
-  (match List.find_opt (fun r -> r.Obs.Attr.a_key = "C1:0") d with
-  | Some r -> check_int "delta is windowed, not cumulative" 8 r.Obs.Attr.a_conflicts
-  | None -> Alcotest.fail "C1:0 missing from delta");
-  let top = Obs.Attr.top ~k:2 d in
-  check_int "top honors k" 2 (List.length top);
-  (* conflicts desc, then SAT calls desc, then key asc: C2/C3 tie on
-     both counters and the tie breaks on the key *)
-  check "deterministic ranking" true
-    (List.map (fun r -> r.Obs.Attr.a_key) top = [ "C2:0"; "C3:0" ]);
-  check "aggregate buckets never surface in top" true
-    (List.for_all
-       (fun r -> r.Obs.Attr.a_key.[0] <> '(')
-       (Obs.Attr.top (Obs.Attr.export ())))
+(* --- prover spans ----------------------------------------------------------- *)
 
 (* two disjoint blocks, each with two true constants and one
-   deliberately false claim: the false claim is refuted by an aggregate
-   round, whose cost the prover bills to the candidates the round
-   killed — so the cost table is non-empty *)
+   deliberately false claim, which a base-side model refutes *)
 let twin_with_refuted () =
   let d = D.create "twin_r" in
   let block name =
@@ -478,35 +446,57 @@ let twin_with_refuted () =
   let cands = block "a" @ block "b" in
   (d, cands)
 
-(* the cost-table signature we require to be reproducible: everything
-   except wall time, which is deliberately not part of the contract *)
-let attr_sig (st : Engine.Induction.stats) =
-  List.map
-    (fun (r : Obs.Attr.row) ->
-      (r.Obs.Attr.a_key, r.Obs.Attr.a_sat_calls, r.Obs.Attr.a_conflicts))
-    st.Engine.Induction.top_costs
-
-let test_attr_prover_billing () =
+let test_prover_spans () =
   let d, cands = twin_with_refuted () in
+  (* one traced proof: its fates, and its spans without their times *)
   let run () =
     Obs.reset ();
-    let proved, st = Engine.Induction.prove_parallel ~assume:D.net_true d cands in
-    (proved, attr_sig st)
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable @@ fun () ->
+    let fates = Hashtbl.create 8 in
+    let proved, _ =
+      Engine.Induction.prove_parallel ~attributions:fates ~assume:D.net_true d
+        cands
+    in
+    let spans =
+      List.map (fun (e : Obs.event) -> (e.Obs.name, e.Obs.args)) (Obs.drain ())
+    in
+    (proved, fates, spans)
   in
-  let proved, sig1 = run () in
+  let proved, fates, spans = run () in
   check_int "the four true constants proved" 4 (List.length proved);
-  check "refuted candidates produced cost rows" true (sig1 <> []);
-  check "only refuted candidates are billed" true
+  check "one span per tier, in order, around the SAT calls" true
+    (List.filter (fun n -> n <> "sat-call") (List.map fst spans)
+    = [ "cache"; "base"; "step" ]);
+  let calls = List.filter (fun (n, _) -> n = "sat-call") spans in
+  check "a SAT call on each side" true
     (List.for_all
-       (fun (key, _, _) ->
-         not
-           (List.exists
-              (fun c -> Engine.Candidate.key c = key)
-              proved))
-       sig1);
-  (* same run again: the table is byte-reproducible, wall time aside *)
-  let _, sig2 = run () in
-  check "cost table identical across runs" true (sig1 = sig2);
+       (fun side ->
+         List.exists (fun (_, a) -> List.assoc_opt "side" a = Some (Obs.Str side)) calls)
+       [ "base"; "step" ]);
+  let listed =
+    List.concat_map
+      (fun (_, a) ->
+        match List.assoc_opt "refuted" a with
+        | Some (Obs.Str "") -> []
+        | Some (Obs.Str keys) -> String.split_on_char ' ' keys
+        | _ -> Alcotest.fail "a sat-call span has no refuted arg")
+      calls
+  in
+  let refuted =
+    Hashtbl.fold
+      (fun c v acc ->
+        match v with
+        | Engine.Induction.V_refuted _ | Engine.Induction.V_not_inductive ->
+            Engine.Candidate.key c :: acc
+        | _ -> acc)
+      fates []
+  in
+  check_int "the false claims were refuted" 2 (List.length refuted);
+  check "the listed keys are exactly the refuted candidates" true
+    (List.sort compare listed = List.sort compare refuted);
+  let _, _, again = run () in
+  check "same span names and args on a second run" true (spans = again);
   Obs.reset ()
 
 let test_write_file_atomic () =
@@ -553,14 +543,10 @@ let () =
           Alcotest.test_case "PDAT_TRACE env var" `Quick
             test_pdat_trace_env_var;
         ] );
-      ( "attr",
+      ( "prover",
         [
-          Alcotest.test_case "billing, scoping and reset" `Quick
-            test_attr_billing;
-          Alcotest.test_case "delta window and deterministic top" `Quick
-            test_attr_delta_and_top;
-          Alcotest.test_case "prover billing is reproducible" `Quick
-            test_attr_prover_billing;
+          Alcotest.test_case "spans per tier and per call" `Quick
+            test_prover_spans;
         ] );
       ( "openmetrics",
         [

@@ -623,6 +623,38 @@ let test_runner_full_row () =
   check "0% area delta" true (Experiments.Runner.area_delta r = 0.);
   check "0% gate delta" true (Experiments.Runner.gate_delta r = 0.)
 
+let test_runner_heading_states_baseline () =
+  (* fig5-mibench has no Full row, so only the heading can show what
+     its deltas are against *)
+  let rows =
+    List.map
+      (fun v ->
+        {
+          Experiments.Runner.variant = v;
+          area = 900.;
+          gates = 90;
+          baseline_area = 1234.5;
+          baseline_gates = 678;
+          proved = 1;
+          seconds = 0.;
+        })
+      (V.by_figure "fig5-mibench")
+  in
+  let out =
+    Format.asprintf "%a"
+      (Experiments.Runner.pp_rows ~title:(V.title "fig5-mibench"))
+      rows
+  in
+  match String.split_on_char '\n' out with
+  | title :: baseline :: body ->
+      check "title first" true (title = "== " ^ V.title "fig5-mibench" ^ " ==");
+      Alcotest.(check string)
+        "baseline under the title" "deltas against Full: 1234.5 um^2, 678 gates"
+        baseline;
+      check_int "then one line per row" (List.length rows)
+        (List.length (List.filter (( <> ) "") body))
+  | _ -> Alcotest.fail "no heading"
+
 let test_catalog_aligned_constrains_data_address () =
   let core = Cores.Ibex_like.build () in
   let d = core.Cores.Ibex_like.design in
@@ -707,6 +739,8 @@ let () =
             test_catalog_figures_start_with_full;
           Alcotest.test_case "full row: 0 proved, 0% deltas" `Quick
             test_runner_full_row;
+          Alcotest.test_case "a figure's heading states its baseline" `Quick
+            test_runner_heading_states_baseline;
           Alcotest.test_case "aligned constrains the data address" `Quick
             test_catalog_aligned_constrains_data_address;
         ] );

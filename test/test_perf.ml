@@ -34,19 +34,17 @@ let base_json =
   "schema_version": 1,
   "target": "sat",
   "sat_calls": 100,
-  "t_prove_s": 2.0,
-  "histograms": {"sat.call_s": {"count": 100, "p50": 0.001, "p95": 0.004}}
+  "t_prove_s": 2.0
 }|}
 
-(* +25% on a stage timing and on p95: both clear the relative tolerance
-   and the absolute floor, so both must gate *)
+(* +25% on a stage timing: it clears the relative tolerance and the
+   absolute floor, so it must gate *)
 let regressed_json =
   {|{
   "schema_version": 1,
   "target": "sat",
   "sat_calls": 120,
-  "t_prove_s": 2.5,
-  "histograms": {"sat.call_s": {"count": 110, "p50": 0.001, "p95": 0.005}}
+  "t_prove_s": 2.5
 }|}
 
 (* --- loading ------------------------------------------------------------- *)
@@ -58,12 +56,6 @@ let test_load () =
   check_str "target parsed" "sat" b.P.b_target;
   check "scalars sorted by name" true
     (List.map fst b.P.b_fields = [ "sat_calls"; "t_prove_s" ]);
-  (match b.P.b_hists with
-  | [ (name, h) ] ->
-      check_str "histogram name" "sat.call_s" name;
-      Alcotest.(check (float 1e-12)) "p95 parsed" 0.004 h.P.h_p95;
-      Alcotest.(check (float 1e-12)) "count parsed" 100. h.P.h_count
-  | hs -> Alcotest.failf "expected 1 histogram, got %d" (List.length hs));
   check "missing file raises" true
     (try
        ignore (P.load (Filename.concat dir "absent.json"));
@@ -87,47 +79,38 @@ let test_gate_identical () =
   let b = P.load (write dir "base.json" base_json) in
   let deltas = P.compare_benches ~base:b b in
   check "identical envelopes: no regression" true (P.regressions deltas = []);
-  check "every metric still reported" true (List.length deltas = 5)
+  check "every metric still reported" true (List.length deltas = 2)
 
 let test_gate_regression () =
   with_fixture_dir @@ fun dir ->
   let b = P.load (write dir "base.json" base_json) in
   let c = P.load (write dir "cur.json" regressed_json) in
   let regs = P.regressions (P.compare_benches ~base:b c) in
-  check "timing and p95 both flagged" true
-    (List.map (fun d -> d.P.d_metric) regs
-    = [ "t_prove_s"; "sat.call_s.p95" ]);
-  (* counters moved too, but only timings/percentiles may gate *)
+  check "timing flagged" true
+    (List.map (fun d -> d.P.d_metric) regs = [ "t_prove_s" ]);
+  (* the counter moved too, but only timings may gate *)
   check "counter rows never gate" true
-    (List.for_all
-       (fun d -> d.P.d_metric <> "sat_calls" && d.P.d_metric <> "sat.call_s.count")
-       regs)
+    (List.for_all (fun d -> d.P.d_metric <> "sat_calls") regs)
 
 (* the two-condition rule: an increase must clear BOTH the relative
    tolerance and the absolute floor before it counts *)
 let test_gate_two_condition () =
-  let bench fields hists =
-    {
-      P.b_path = "x.json";
-      b_schema = 1;
-      b_target = "sat";
-      b_fields = fields;
-      b_hists = hists;
-    }
+  let bench fields =
+    { P.b_path = "x.json"; b_schema = 1; b_target = "sat"; b_fields = fields }
   in
   (* +100% relative but only 10ms absolute: under the 50ms floor *)
-  let b = bench [ ("t_x_s", 0.010) ] [] in
-  let c = bench [ ("t_x_s", 0.020) ] [] in
+  let b = bench [ ("t_x_s", 0.010) ] in
+  let c = bench [ ("t_x_s", 0.020) ] in
   check "micro-noise under the absolute floor never gates" true
     (P.regressions (P.compare_benches ~base:b c) = []);
   (* +60ms absolute but only +0.6% relative: under the tolerance *)
-  let b = bench [ ("t_x_s", 10.0) ] [] in
-  let c = bench [ ("t_x_s", 10.06) ] [] in
+  let b = bench [ ("t_x_s", 10.0) ] in
+  let c = bench [ ("t_x_s", 10.06) ] in
   check "sub-tolerance drift on big timings never gates" true
     (P.regressions (P.compare_benches ~base:b c) = []);
   (* both conditions cleared: gates *)
-  let b = bench [ ("t_x_s", 1.0) ] [] in
-  let c = bench [ ("t_x_s", 1.3) ] [] in
+  let b = bench [ ("t_x_s", 1.0) ] in
+  let c = bench [ ("t_x_s", 1.3) ] in
   check "real slide gates" true
     (P.regressions (P.compare_benches ~base:b c) <> [])
 
@@ -166,36 +149,25 @@ let test_gate_skips_one_sided () =
   "target": "sat",
   "sat_calls": 100,
   "t_prove_s": 2.0,
-  "t_brand_new_stage_s": 99.0,
-  "histograms": {"sat.call_s": {"count": 100, "p50": 0.001, "p95": 0.004},
-                 "new.hist_s": {"count": 5, "p50": 9.0, "p95": 9.0}}
+  "t_brand_new_stage_s": 99.0
 }|})
   in
   let deltas = P.compare_benches ~base:b c in
   check "one-sided metrics skipped" true
-    (List.for_all
-       (fun d ->
-         d.P.d_metric <> "t_brand_new_stage_s"
-         && not
-              (String.length d.P.d_metric >= 8
-              && String.sub d.P.d_metric 0 8 = "new.hist"))
-       deltas);
+    (List.for_all (fun d -> d.P.d_metric <> "t_brand_new_stage_s") deltas);
   check "grown envelope still passes" true (P.regressions deltas = [])
 
 (* --- the markdown table -------------------------------------------------- *)
 
 let golden_markdown =
   "## Perf delta: base.json \xe2\x86\x92 cur.json\n\n\
-   Thresholds: \xc2\xb115% relative, 0.050s absolute floor (timings), \
-   0.0005s (histogram percentiles). Only timing and percentile rows gate.\n\n\
+   Thresholds: \xc2\xb115% relative, 0.050s absolute floor. Only timing \
+   rows gate.\n\n\
    | metric | base | current | \xce\x94% | gate |\n\
    |---|---|---|---|---|\n\
    | sat_calls | 100 | 120 | +20.0 | \xe2\x80\x94 |\n\
-   | t_prove_s | 2 | 2.5 | +25.0 | **REGRESSION** |\n\
-   | sat.call_s.p50 | 0.001 | 0.001 | +0.0 | ok |\n\
-   | sat.call_s.p95 | 0.004 | 0.005 | +25.0 | **REGRESSION** |\n\
-   | sat.call_s.count | 100 | 110 | +10.0 | \xe2\x80\x94 |\n\n\
-   **2 regressions.**\n"
+   | t_prove_s | 2 | 2.5 | +25.0 | **REGRESSION** |\n\n\
+   **1 regression.**\n"
 
 let test_markdown_golden () =
   with_fixture_dir @@ fun dir ->
