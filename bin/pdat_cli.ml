@@ -100,8 +100,9 @@ let run_cmd =
                  ~title:(Experiments.Variants.title id))
               (Experiments.Runner.run_figure ~fast ?cache id)
         | `Variant v ->
-            Format.printf "%a@." Experiments.Runner.pp_row
-              (Experiments.Runner.run ~fast ?cache v))
+            Format.printf "%a@."
+              (Experiments.Runner.pp_rows ?title:None)
+              [ Experiments.Runner.run ~fast ?cache v ])
       targets
   in
   Cmd.v

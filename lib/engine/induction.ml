@@ -480,20 +480,23 @@ let prove ?(options = default_options) ?cex ?(known = []) ?fates ~assume d
     aggregate ()
   in
   (* Each side keeps one long-lived solver, and its span covers the
-     encoding and the pass.  The step side is encoded only once the
-     base pass is over, from the same initial candidate set, and a
-     side's solver becomes garbage as soon as its pass returns: the two
-     solvers are never live together. *)
+     encoding, in an [encode] span of its own, and the pass.  The step
+     side is encoded only once the base pass is over, from the same
+     initial candidate set, and a side's solver becomes garbage as soon
+     as its pass returns: the two solvers are never live together. *)
+  let encode f = Obs.with_span ~cat:"prove" "encode" f in
   (try
      Obs.with_span ~cat:"prove" "base" (fun () ->
          base_pass
-           (build_side d ~assume ~init:`Reset ~n_frames:k
-              ~check_frames:(List.init k (fun i -> i))
-              ~guarded:false ~known candidates));
+           (encode (fun () ->
+                build_side d ~assume ~init:`Reset ~n_frames:k
+                  ~check_frames:(List.init k (fun i -> i))
+                  ~guarded:false ~known candidates)));
      Obs.with_span ~cat:"prove" "step" (fun () ->
          step_fixpoint
-           (build_side d ~assume ~init:`Free ~n_frames:(k + 1)
-              ~check_frames:[ k ] ~guarded:true ~known candidates))
+           (encode (fun () ->
+                build_side d ~assume ~init:`Free ~n_frames:(k + 1)
+                  ~check_frames:[ k ] ~guarded:true ~known candidates)))
    with Out_of_budget ->
      exhausted := true;
      if want_fates then

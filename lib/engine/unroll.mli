@@ -14,10 +14,25 @@
     fresh variables ([`Free], for induction steps); in later frames
     each flip-flop output aliases the previous frame's literal of its D
     net.  Primary inputs and undriven nets are fresh variables per
-    frame: an undriven net is unconstrained, not a constant.  Buffers
-    and inverters alias literals, so only real gates cost variables.
-    A net with several drivers, which {!Netlist.Design.validate}
-    rejects, is encoded from one of them.
+    frame: an undriven net is unconstrained, not a constant.
+
+    Gates are built from hashed, constant-folding two-input AND, OR,
+    XOR and MUX constructors; 3- and 4-input and AOI/OAI cells
+    decompose into them.  A gate whose inputs fold (a tie cell or
+    reset constant, [x∧x], [x∧¬x], an XOR with a constant, a mux with
+    a constant select or with equal, complementary or constant data)
+    takes an existing literal, and a gate with the operator and inputs
+    of one already encoded in this unrolling, any frame, takes that
+    gate's variable.  A net's literal may therefore be shared with
+    other nets, complemented, or the constant {!lit_true} or its
+    negation; buffers and inverters alias literals as before.  Every
+    literal still equals its net's value in every model.  New
+    variables are numbered in topological order, frame by frame, and
+    each takes its gate's polarity (an OR gate gets an OR variable; an
+    XOR variable is the XOR of its inputs' variables, their signs on
+    the output literal): the solver decides variables newest first and
+    true.  A net with several drivers, which
+    {!Netlist.Design.validate} rejects, is encoded from one of them.
 
     A net outside a frame's cone has no literal: {!lit} raises, and
     {!value} reads it as false from the model. *)

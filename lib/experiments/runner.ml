@@ -107,8 +107,9 @@ let pp_row fmt r =
     r.variant.Variants.label r.area (-.area_delta r) r.gates (-.gate_delta r)
     r.proved r.seconds
 
-let pp_rows ~title fmt rows =
-  Format.fprintf fmt "@[<v>== %s ==@," title;
+let pp_rows ?title fmt rows =
+  Format.fprintf fmt "@[<v>";
+  Option.iter (Format.fprintf fmt "== %s ==@,") title;
   List.sort_uniq compare
     (List.map (fun r -> (r.baseline_area, r.baseline_gates)) rows)
   |> List.iter (fun (area, gates) ->

@@ -34,7 +34,8 @@ val run_figure :
 
 val pp_row : Format.formatter -> row -> unit
 
-val pp_rows : title:string -> Format.formatter -> row list -> unit
-(** The rows under a heading: [title], then one line per distinct
-    baseline with the area and gates the rows' deltas are against, so
-    a figure without a Full row of its own still shows them. *)
+val pp_rows : ?title:string -> Format.formatter -> row list -> unit
+(** The rows under a heading: [title] if given, then one line per
+    distinct baseline with the area and gates the rows' deltas are
+    against, so a figure without a Full row of its own, or a single
+    variant's row, still shows them. *)

@@ -1,7 +1,3 @@
-let equal s a b =
-  Solver.add_clause s [ Lit.negate a; b ];
-  Solver.add_clause s [ a; Lit.negate b ]
-
 let and2 s ~out a b =
   Solver.add_clause s [ Lit.negate out; a ];
   Solver.add_clause s [ Lit.negate out; b ];
@@ -14,12 +10,6 @@ let xor2 s ~out a b =
   Solver.add_clause s [ Lit.negate out; Lit.negate a; Lit.negate b ];
   Solver.add_clause s [ out; Lit.negate a; b ];
   Solver.add_clause s [ out; a; Lit.negate b ]
-
-let andn s ~out ins =
-  List.iter (fun a -> Solver.add_clause s [ Lit.negate out; a ]) ins;
-  Solver.add_clause s (out :: List.map Lit.negate ins)
-
-let orn s ~out ins = andn s ~out:(Lit.negate out) (List.map Lit.negate ins)
 
 let mux s ~out ~sel ~a ~b =
   (* sel=0 -> out=a ; sel=1 -> out=b, plus the redundant a=b clause

@@ -3,15 +3,9 @@
     Inputs and outputs are literals, so inversions are free (pass the
     negated literal). *)
 
-val equal : Solver.t -> Lit.t -> Lit.t -> unit
-(** [equal s a b] forces a = b. *)
-
 val and2 : Solver.t -> out:Lit.t -> Lit.t -> Lit.t -> unit
 val or2 : Solver.t -> out:Lit.t -> Lit.t -> Lit.t -> unit
 val xor2 : Solver.t -> out:Lit.t -> Lit.t -> Lit.t -> unit
-
-val andn : Solver.t -> out:Lit.t -> Lit.t list -> unit
-val orn : Solver.t -> out:Lit.t -> Lit.t list -> unit
 
 val mux : Solver.t -> out:Lit.t -> sel:Lit.t -> a:Lit.t -> b:Lit.t -> unit
 (** out = sel ? b : a. *)

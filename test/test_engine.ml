@@ -344,6 +344,91 @@ let test_undriven_net_is_free () =
       ("tie cell", fun d -> D.add_cell d C.Const0 [||]);
     ]
 
+(* The hashed, constant-folding encoding against the simulator: on
+   random netlists of every cell kind, with frame-0 state and every
+   frame's inputs pinned by unit clauses, the model is unique, and each
+   net inside a frame's cone must read in it what [Sim64] computes. *)
+let test_unroll_matches_sim () =
+  let word b = if b then -1L else 0L in
+  for seed = 1 to 40 do
+    let d = Netlist.Generate.random ~seed () in
+    let rng = Random.State.make [| seed |] in
+    let flops = (Netlist.Topo.schedule d).Netlist.Topo.flops in
+    let roots = List.init 4 (fun _ -> Random.State.int rng (D.num_nets d)) in
+    let frames = 3 in
+    List.iter
+      (fun (label, init) ->
+        let solver = Sat.Solver.create () in
+        let u = Engine.Unroll.create solver d ~init ~roots ~frames in
+        let lit ~frame n =
+          try Some (Engine.Unroll.lit u ~frame n) with Invalid_argument _ -> None
+        in
+        let pin ~frame n b =
+          Option.iter
+            (fun l -> Sat.Solver.add_clause solver [ (if b then l else Sat.Lit.negate l) ])
+            (lit ~frame n)
+        in
+        let sim = Netlist.Sim64.create d in
+        if init = `Free then begin
+          let state = Hashtbl.create 16 in
+          Array.iter
+            (fun ci ->
+              let q = (D.cell d ci).D.out in
+              let b = Random.State.bool rng in
+              Hashtbl.replace state q b;
+              pin ~frame:0 q b)
+            flops;
+          Netlist.Sim64.load_state sim (fun q -> word (Hashtbl.find state q))
+        end;
+        let stimulus =
+          List.init frames (fun _ ->
+              List.map (fun (_, n) -> (n, Random.State.bool rng)) (D.inputs d))
+        in
+        List.iteri (fun frame ins -> List.iter (fun (n, b) -> pin ~frame n b) ins) stimulus;
+        (match Sat.Solver.solve solver with
+        | Sat.Solver.Sat -> ()
+        | Sat.Solver.Unsat | Sat.Solver.Unknown ->
+            Alcotest.failf "seed %d %s: pinned unrolling not Sat" seed label);
+        List.iteri
+          (fun frame ins ->
+            List.iter (fun (n, b) -> Netlist.Sim64.set_input sim n (word b)) ins;
+            Netlist.Sim64.eval sim;
+            for n = 0 to D.num_nets d - 1 do
+              if lit ~frame n <> None then
+                let want = Netlist.Sim64.read sim n <> 0L in
+                if Engine.Unroll.value u ~frame n <> want then
+                  Alcotest.failf "seed %d %s: net %d frame %d reads %b, simulator %b"
+                    seed label n frame (not want) want
+            done;
+            Netlist.Sim64.step sim)
+          stimulus)
+      [ ("reset", `Reset); ("free", `Free) ]
+  done
+
+(* Two AND2s over the same inputs, in either pin order, share one
+   literal, and gates fed by a tie cell fold to an existing literal. *)
+let test_unroll_hashing () =
+  let d = D.create "hash" in
+  let a = D.add_input d "a" in
+  let b = D.add_input d "b" in
+  let ab = D.add_cell d C.And2 [| a; b |] in
+  let ba = D.add_cell d C.And2 [| b; a |] in
+  let one = D.add_cell d C.Const1 [||] in
+  let a_one = D.add_cell d C.And2 [| a; one |] in
+  let one_xor_b = D.add_cell d C.Xor2 [| one; b |] in
+  let solver = Sat.Solver.create () in
+  let u =
+    Engine.Unroll.create solver d ~init:`Reset ~roots:[ ab; ba; a_one; one_xor_b ]
+      ~frames:1
+  in
+  let lit n = Engine.Unroll.lit u ~frame:0 n in
+  check "identical AND2s share a literal" true (lit ab = lit ba);
+  check "AND with a tie-high is its other input" true (lit a_one = lit a);
+  check "XOR with a tie-high is the complement" true
+    (lit one_xor_b = Sat.Lit.negate (lit b));
+  (* the true literal, [a], [b] and the one AND *)
+  check_int "variables" 4 (Sat.Solver.num_vars solver)
+
 let test_cutpoint () =
   let d = D.create "t" in
   let a = D.add_input d "a" in
@@ -412,6 +497,10 @@ let () =
           Alcotest.test_case "cone of influence" `Quick test_unroll_cone;
           Alcotest.test_case "undriven net is free, tie cell is 0" `Quick
             test_undriven_net_is_free;
+          Alcotest.test_case "pinned frames match the simulator" `Quick
+            test_unroll_matches_sim;
+          Alcotest.test_case "identical gates share, tie cells fold" `Quick
+            test_unroll_hashing;
         ] );
       ("cutpoint", [ Alcotest.test_case "apply" `Quick test_cutpoint ]);
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_induction_sound ]);

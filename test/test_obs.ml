@@ -356,6 +356,8 @@ let test_pipeline_trace_golden () =
       check_int (Printf.sprintf "one %s span inside prove" tier) 1
         (List.length (named tier)))
     [ "cache"; "base"; "step" ];
+  check_int "an encode span per side inside prove" 2
+    (List.length (named "encode"));
   let calls = named "sat-call" in
   check "prove made SAT calls" true (calls <> []);
   check_int "one sat-call span per SAT call"
@@ -466,8 +468,14 @@ let test_prover_spans () =
   let proved, fates, spans = run () in
   check_int "the four true constants proved" 4 (List.length proved);
   check "one span per tier, in order, around the SAT calls" true
-    (List.filter (fun n -> n <> "sat-call") (List.map fst spans)
+    (List.filter
+       (fun n -> n <> "sat-call" && n <> "encode")
+       (List.map fst spans)
     = [ "cache"; "base"; "step" ]);
+  (* each side's encoding may open in the same clock tick as its side's
+     span, so its place among them is not checked *)
+  let encodes spans = List.filter (fun (n, _) -> n = "encode") spans in
+  check_int "an encode span per side" 2 (List.length (encodes spans));
   let calls = List.filter (fun (n, _) -> n = "sat-call") spans in
   check "a SAT call on each side" true
     (List.for_all
@@ -496,7 +504,9 @@ let test_prover_spans () =
   check "the listed keys are exactly the refuted candidates" true
     (List.sort compare listed = List.sort compare refuted);
   let _, _, again = run () in
-  check "same span names and args on a second run" true (spans = again);
+  let others = List.filter (fun (n, _) -> n <> "encode") in
+  check "same span names and args on a second run" true
+    (others spans = others again && encodes spans = encodes again);
   Obs.reset ()
 
 let test_write_file_atomic () =

@@ -655,6 +655,33 @@ let test_runner_heading_states_baseline () =
         (List.length (List.filter (( <> ) "") body))
   | _ -> Alcotest.fail "no heading"
 
+let test_runner_variant_states_baseline () =
+  (* [pdat run <variant-id>] prints one row, under the line that says
+     what its deltas are against *)
+  let row =
+    {
+      Experiments.Runner.variant = V.find "ibex-rv32i";
+      area = 900.;
+      gates = 90;
+      baseline_area = 1234.5;
+      baseline_gates = 678;
+      proved = 1;
+      seconds = 0.;
+    }
+  in
+  let out =
+    Format.asprintf "%a" (Experiments.Runner.pp_rows ?title:None) [ row ]
+  in
+  match String.split_on_char '\n' out with
+  | [ baseline; line; "" ] ->
+      Alcotest.(check string)
+        "baseline first" "deltas against Full: 1234.5 um^2, 678 gates"
+        baseline;
+      Alcotest.(check string)
+        "then the row" (Format.asprintf "%a" Experiments.Runner.pp_row row)
+        line
+  | _ -> Alcotest.failf "expected a baseline line and a row, got %S" out
+
 let test_catalog_aligned_constrains_data_address () =
   let core = Cores.Ibex_like.build () in
   let d = core.Cores.Ibex_like.design in
@@ -741,6 +768,8 @@ let () =
             test_runner_full_row;
           Alcotest.test_case "a figure's heading states its baseline" `Quick
             test_runner_heading_states_baseline;
+          Alcotest.test_case "a variant's row states its baseline" `Quick
+            test_runner_variant_states_baseline;
           Alcotest.test_case "aligned constrains the data address" `Quick
             test_catalog_aligned_constrains_data_address;
         ] );
